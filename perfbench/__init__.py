@@ -1,0 +1,1 @@
+"""The repository benchmark (run with ``python3 perfbench/run.py``)."""
