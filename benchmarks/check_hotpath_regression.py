@@ -15,10 +15,9 @@ Exits nonzero if any per-byte counter drifts past the tolerance or any
 hard invariant (zero heap compactions, crypto-mode timing invariance,
 zero-copy coverage of the payload) is violated.
 
-The coroutine-kernel invariants are also enforced here: every in-tree
-scenario must run entirely on the task kernel (``legacy_threads_spawned``
-must be zero), and — given a ``BENCH_scale.json`` via ``--scale`` — the
-context-switch cost per session must stay under the frozen budget.
+The actor-kernel invariant is also enforced here: given a
+``BENCH_scale.json`` via ``--scale``, the context-switch cost per session
+must stay under the frozen budget.
 """
 
 from __future__ import annotations
@@ -129,12 +128,6 @@ def check(reference: dict, current: dict, tolerance: float) -> list[str]:
                     f"{section}: {name} = {cur['counters'][name]} — the "
                     f"chain plane ran in a scenario that never opted in; "
                     f"it must stay out of the hot path")
-        legacy = cur["counters"].get("legacy_threads_spawned", 0)
-        if legacy != 0:
-            problems.append(
-                f"{section}: legacy_threads_spawned = {legacy} — an "
-                f"in-tree actor fell off the coroutine kernel onto a "
-                f"deprecated OS thread")
     fast, real = current.get("macro_fast"), current.get("macro_real")
     if fast and real:
         if (fast["elapsed"], fast["sim_now"]) != \
@@ -153,11 +146,6 @@ def check_scale(scale_report: dict) -> list[str]:
     problems: list[str] = []
     for run in scale_report.get("runs", []):
         n = run.get("n_sessions", 0) or 1
-        legacy = run.get("legacy_threads_spawned", 0)
-        if legacy != 0:
-            problems.append(
-                f"scale N={n}: legacy_threads_spawned = {legacy} — the "
-                f"scale sweep must run entirely on the task kernel")
         per_session = run.get("task_switches", 0) / n
         if per_session > SWITCHES_PER_SESSION_BUDGET:
             problems.append(
@@ -177,8 +165,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="allowed per-byte drift (default: 25%%)")
     parser.add_argument("--scale", type=Path, default=None,
                         help="BENCH_scale.json to apply the kernel "
-                             "invariants (legacy threads, switches per "
-                             "session) to")
+                             "invariant (switches per session) to")
     args = parser.parse_args(argv)
 
     reference = json.loads(args.reference.read_text())

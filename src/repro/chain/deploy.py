@@ -32,7 +32,7 @@ from repro.chain.embed import EmbedConfig, Overlay, embed, greedy_embed
 from repro.chain.template import ChainSpec, ChainSpecError, apply_transform
 from repro.core.errors import ServerBusy
 from repro.core.manifest import FunctionManifest
-from repro.netsim.simulator import Actor, Sleep, blocking
+from repro.netsim.simulator import Actor, Sleep
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
 from repro.perf.counters import counters as _perf
@@ -184,7 +184,6 @@ class ChainDeployment:
 
     # -- deployment --------------------------------------------------------
 
-    @blocking
     def deploy(self, task: Actor, engine: str = "joint"):
         """Provision every replica of the overlay (embedding on demand)."""
         if self.overlay is None:
@@ -207,7 +206,6 @@ class ChainDeployment:
                 return box
         raise ChainDeployError(f"box {box_fp} not in the consensus")
 
-    @blocking
     def _provision(self, task: Actor, component: str, index: int,
                    box_fp: str):
         comp = self.spec.component(component)
@@ -231,7 +229,6 @@ class ChainDeployment:
 
     # -- traffic -----------------------------------------------------------
 
-    @blocking
     def push(self, task: Actor, payload: bytes,
              deadline_s: float = 60.0, _retrying: bool = False) -> dict:
         """Route one traffic unit through the chain.
@@ -312,7 +309,6 @@ class ChainDeployment:
             outputs.update(sub)
         return outputs
 
-    @blocking
     def _stage_op(self, task: Actor, component: str, index: int,
                   unit: bytes, deadline_at: float) -> bytes:
         key = (component, index)
@@ -358,7 +354,6 @@ class ChainDeployment:
 
     # -- failure handling --------------------------------------------------
 
-    @blocking
     def reembed(self, task: Actor, exclude_fps: Sequence[str] = ()):
         """Recompute the overlay and move only what must move.
 
@@ -403,7 +398,6 @@ class ChainDeployment:
                         task, key[0], key[1], fp),
                     attempts=3, backoff_s=1.0)
 
-    @blocking
     def _migrate_replica(self, task: Actor, key: tuple[str, int],
                          old_fp: str, new_fp: str) -> bool:
         """Drain one replica via its source box's migrate plane."""
@@ -435,7 +429,6 @@ class ChainDeployment:
         return {sink: _fold(self.spec.path_transforms(sink), payload)
                 for sink in self.spec.sinks}
 
-    @blocking
     def shutdown(self, task: Actor) -> dict:
         """Stop every stage; returns per-replica processed counts."""
         stats: dict = {}

@@ -16,37 +16,23 @@ sandbox").  Every method:
 A function killed by the sandbox (or shut down by its owner) sees
 :class:`FunctionKilled` from its next API call.
 
-Blocking API methods are written as generators (the task-kernel style):
-coroutine function code delegates to them with ``yield from``, while
-legacy plain-callable functions keep calling them synchronously — the
-:func:`_api_blocking` dispatcher resolves the executing actor from the
-api's own context (the current :class:`SimTask`, or the sim-thread bound
-via thread-local state) because sandboxed code calls ``api.recv()`` with
-no thread argument in sight.
+Blocking API methods are generator functions: function code calls them
+as ``data = yield from api.recv()``.  They take no actor argument —
+sandboxed code has none in sight — so the api resolves the executing
+actor from the simulator's current :class:`SimTask`.
 """
 
 from __future__ import annotations
 
-import functools
-import threading
+import inspect
 from types import GeneratorType
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.core.apispec import API_SYSCALLS
 from repro.core.errors import BentoError
 from repro.netsim.bytestream import DirectByteStream
 from repro.netsim.http import HttpResponse, http_get
-from repro.netsim.simulator import (
-    Actor,
-    Future,
-    Join,
-    Sleep,
-    SimTask,
-    SimThread,
-    Wait,
-    _drive_blocking,
-    _drive_inline,
-)
+from repro.netsim.simulator import Future, Join, Sleep, SimTask, Wait
 from repro.obs.span import TRACER as _obs
 from repro.sandbox.seccomp import SeccompViolation
 from repro.util.errors import ReproError
@@ -65,31 +51,6 @@ class FunctionKilled(ReproError):
     """The sandbox or the owner terminated this function."""
 
 
-def _api_blocking(fn: Callable) -> Callable:
-    """Context-dispatched :func:`repro.netsim.simulator.blocking`.
-
-    API methods take no actor argument — sandboxed code just calls
-    ``api.recv()`` — so the dispatcher asks the api object which actor is
-    executing: the simulator's current :class:`SimTask` (coroutine
-    functions), the sim-thread bound in thread-local state (legacy
-    functions), or nothing at all (event-handler context, where the
-    generator runs inline and must not suspend).
-    """
-
-    @functools.wraps(fn)
-    def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
-        gen = fn(self, *args, **kwargs)
-        actor = getattr(self, "_api", self)._thread
-        if actor is None:
-            return _drive_inline(gen)
-        if isinstance(actor, SimThread) and not actor._driving:
-            return _drive_blocking(actor, gen)
-        return gen
-
-    wrapper._blocking_inner = fn
-    return wrapper
-
-
 class SandboxedStream:
     """A byte stream handed to a function, gated and byte-accounted.
 
@@ -103,14 +64,12 @@ class SandboxedStream:
         self._stream = stream
         self._gate_name = gate
 
-    @_api_blocking
     def send(self, data: bytes) -> None:
         """Send bytes to the peer."""
         yield from self._api._gate(self._gate_name)
         yield from self._api._charge_network(len(data))
         self._stream.send(data)
 
-    @_api_blocking
     def recv(self, timeout: Optional[float] = None) -> bytes:
         """Block until the next chunk arrives; b'' at EOF."""
         yield from self._api._gate(self._gate_name)
@@ -130,7 +89,6 @@ class HttpSessionApi:
         self._api = api
         self._framed = framed
 
-    @_api_blocking
     def get(self, path: str, timeout: float = 600.0) -> HttpResponse:
         """One GET on the persistent connection."""
         yield from self._api._gate("http_get")
@@ -158,7 +116,6 @@ class StorageApi:
             return instance.conclave.fs
         return instance.container.fs
 
-    @_api_blocking
     def put(self, path: str, data: bytes) -> None:
         """Write a file (charged against the disk quota)."""
         yield from self._api._gate("storage.put")
@@ -174,19 +131,16 @@ class StorageApi:
         if delta < 0:
             instance.container.cgroup.charge("disk", delta)
 
-    @_api_blocking
     def get(self, path: str) -> bytes:
         """Read a file."""
         yield from self._api._gate("storage.get")
         return self._fs().read_file(path)
 
-    @_api_blocking
     def list(self, path: str = "/") -> list[str]:
         """All file paths under ``path``."""
         yield from self._api._gate("storage.list")
         return self._fs().walk_files(path)
 
-    @_api_blocking
     def delete(self, path: str) -> None:
         """Remove a file (releases quota)."""
         yield from self._api._gate("storage.delete")
@@ -197,7 +151,6 @@ class StorageApi:
         if size:
             instance.container.cgroup.charge("disk", -size)
 
-    @_api_blocking
     def exists(self, path: str) -> bool:
         """Does a file exist?  (Gated as a read.)"""
         yield from self._api._gate("storage.get")
@@ -213,39 +166,33 @@ class StemApi:
     def _firewall(self):
         return self._api._instance.firewall
 
-    @_api_blocking
     def new_circuit(self, **kwargs) -> str:
         """Mediated :meth:`Controller.new_circuit`."""
         yield from self._api._gate("stem.new_circuit")
         return (yield from self._firewall().new_circuit(
             self._api._thread, **kwargs))
 
-    @_api_blocking
     def close_circuit(self, circuit_id: str) -> None:
         """Mediated circuit teardown (ownership enforced)."""
         yield from self._api._gate("stem.close_circuit")
         self._firewall().close_circuit(circuit_id)
 
-    @_api_blocking
     def attach_stream(self, circuit_id: str, host: str, port: int):
         """Mediated stream attach (ownership enforced)."""
         yield from self._api._gate("stem.attach_stream")
         return (yield from self._firewall().attach_stream(
             self._api._thread, circuit_id, host, port))
 
-    @_api_blocking
     def get_network_statuses(self):
         """Mediated consensus listing."""
         yield from self._api._gate("stem.get_network_statuses")
         return self._firewall().get_network_statuses()
 
-    @_api_blocking
     def get_info(self, key: str):
         """Mediated GETINFO."""
         yield from self._api._gate("stem.get_info")
         return self._firewall().get_info(key)
 
-    @_api_blocking
     def create_hidden_service(self, handler, n_intro: int = 3,
                               key_material: Optional[dict] = None,
                               establish: bool = True,
@@ -265,24 +212,22 @@ class StemApi:
 
         wrapped = None
         if handler is not None:
-            import inspect as _inspect
-            handler_is_task = _inspect.isgeneratorfunction(handler)
+            if not inspect.isgeneratorfunction(handler):
+                raise TypeError(
+                    "hidden-service handler must be a generator function "
+                    "(call blocking api methods as 'yield from api.…')")
 
             def wrapped(stream, host, port):  # noqa: ANN001 - duck-typed
                 """Per-stream wrapper: serve each accepted stream in an actor."""
                 sandboxed = SandboxedStream(
                     api, stream, gate="stem.create_hidden_service")
-                if handler_is_task:
-                    def _serve(task):
-                        api._bind(task, None)
-                        try:
-                            yield from handler(sandboxed, host, port)
-                        finally:
-                            api._unbind(task)
-                else:
-                    def _serve(thread):
-                        api._bind(thread, None)
-                        handler(sandboxed, host, port)
+
+                def _serve(task):
+                    api._bind(task, None)
+                    try:
+                        yield from handler(sandboxed, host, port)
+                    finally:
+                        api._unbind(task)
                 sim.spawn(_serve, name=f"fn-hs:{api._instance.instance_id}")
 
         keypair = None
@@ -293,14 +238,12 @@ class StemApi:
             self._api._thread, wrapped, n_intro=n_intro, keypair=keypair,
             establish=establish, manual_introductions=manual_introductions))
 
-    @_api_blocking
     def wait_introduction(self, service, timeout: Optional[float] = None) -> dict:
         """Next queued introduction on a manual-mode service."""
         yield from self._api._gate("stem.hs_wait_introduction")
         return (yield from self._firewall().hs_wait_introduction(
             self._api._thread, service, timeout=timeout))
 
-    @_api_blocking
     def complete_rendezvous(self, service, request: dict, wait: bool = True):
         """Answer one introduction from this node (LoadBalancer replicas).
 
@@ -339,20 +282,17 @@ class StemApi:
         sim.spawn(_worker, name=f"rend:{api._instance.instance_id}")
         return None
 
-    @_api_blocking
     def remove_hidden_service(self, onion_address: str) -> None:
         """Mediated hidden-service removal (ownership enforced)."""
         yield from self._api._gate("stem.remove_hidden_service")
         self._firewall().remove_hidden_service(onion_address)
 
-    @_api_blocking
     def connect_to_hidden_service(self, onion_address: str):
         """Mediated client-side rendezvous."""
         yield from self._api._gate("stem.connect_to_hidden_service")
         return (yield from self._firewall().connect_to_hidden_service(
             self._api._thread, onion_address))
 
-    @_api_blocking
     def send_padding(self, circuit_id: str, hop_index: Optional[int] = None,
                      payload: bytes = b"") -> None:
         """Mediated RELAY_DROP injection (ownership enforced)."""
@@ -360,7 +300,6 @@ class StemApi:
         self._firewall().send_padding(circuit_id, hop_index=hop_index,
                                       payload=payload)
 
-    @_api_blocking
     def fetch(self, circuit_id: str, url: str, offset: Optional[int] = None,
               length: Optional[int] = None, timeout: float = 600.0) -> dict:
         """An HTTP(S) GET (optionally ranged) through an owned circuit."""
@@ -369,7 +308,6 @@ class StemApi:
             self._api._thread, circuit_id, url, offset=offset, length=length,
             timeout=timeout))
 
-    @_api_blocking
     def fetch_begin(self, circuit_id: str, url: str,
                     offset: Optional[int] = None,
                     length: Optional[int] = None,
@@ -395,7 +333,6 @@ class StemApi:
 
         return sim.spawn(_worker, name=f"fetch:{api._instance.instance_id}")
 
-    @_api_blocking
     def fetch_join(self, handle, timeout: float = 600.0) -> dict:
         """Wait for a :meth:`fetch_begin` transfer and return its result."""
         yield from self._api._gate("stem.fetch")
@@ -407,11 +344,9 @@ class FunctionApi:
 
     def __init__(self, instance) -> None:
         self._instance = instance
-        # Per-actor state.  Legacy sim-threads bind themselves in
-        # thread-local storage (each is a real OS thread); coroutine tasks
-        # all share one OS thread, so their context lives in a dict keyed
-        # by task, populated by _bind and cleared by _unbind.
-        self._tls = threading.local()
+        # Per-actor state: every actor shares one OS thread, so each task's
+        # context lives in a dict keyed by task, populated by _bind and
+        # cleared by _unbind.
         self._task_peer: dict[SimTask, Any] = {}
         self._inbox: list[tuple[bytes, Any]] = []
         self._recv_waiter: Optional[Future] = None
@@ -428,39 +363,24 @@ class FunctionApi:
     #    but Python has no private: "we are all responsible users") ----------
 
     @property
-    def _thread(self) -> Optional[Actor]:
-        task = self._instance.server.sim._current_task
-        if task is not None:
-            return task
-        return getattr(self._tls, "thread", None)
+    def _thread(self) -> Optional[SimTask]:
+        return self._instance.server.sim._current_task
 
     @property
     def _current_peer(self):
-        task = self._instance.server.sim._current_task
-        if task is not None:
-            return self._task_peer.get(task)
-        return getattr(self._tls, "peer", None)
+        return self._task_peer.get(self._instance.server.sim._current_task)
 
     @_current_peer.setter
     def _current_peer(self, peer) -> None:
-        task = self._instance.server.sim._current_task
-        if task is not None:
-            self._task_peer[task] = peer
-        else:
-            self._tls.peer = peer
+        self._task_peer[self._instance.server.sim._current_task] = peer
 
-    def _bind(self, actor: Actor, peer) -> None:
-        if isinstance(actor, SimTask):
-            self._task_peer[actor] = peer
-        else:
-            self._tls.thread = actor
-            self._tls.peer = peer
+    def _bind(self, task: SimTask, peer) -> None:
+        self._task_peer[task] = peer
 
-    def _unbind(self, actor: Actor) -> None:
-        """Release a task's context entry (tasks outnumber OS threads by
-        orders of magnitude at scale; the dict must not grow unboundedly)."""
-        if isinstance(actor, SimTask):
-            self._task_peer.pop(actor, None)
+    def _unbind(self, task: SimTask) -> None:
+        """Release a task's context entry (tasks come and go by the
+        thousand at scale; the dict must not grow unboundedly)."""
+        self._task_peer.pop(task, None)
 
     def _push_message(self, payload: bytes, peer) -> None:
         self._inbox.append((payload, peer))
@@ -519,7 +439,6 @@ class FunctionApi:
 
     # -- talking to the client ----------------------------------------------
 
-    @_api_blocking
     def send(self, payload: bytes) -> None:
         """Deliver bytes to the client who sent the message being handled."""
         yield from self._gate("send")
@@ -553,7 +472,6 @@ class FunctionApi:
             flushed += 1
         return flushed
 
-    @_api_blocking
     def recv(self, timeout: Optional[float] = None) -> bytes:
         """Block until the next client message arrives."""
         yield from self._gate("recv")
@@ -565,7 +483,6 @@ class FunctionApi:
         self._current_peer = peer
         return payload
 
-    @_api_blocking
     def log(self, message: str) -> None:
         """Append to the function's log (visible to the function owner)."""
         yield from self._gate("log")
@@ -573,19 +490,16 @@ class FunctionApi:
 
     # -- time and randomness -----------------------------------------------------
 
-    @_api_blocking
     def sleep(self, duration: float) -> None:
         """Sleep in simulated time."""
         yield from self._gate("sleep")
         yield Sleep(duration)
 
-    @_api_blocking
     def time(self) -> float:
         """The current simulated time."""
         yield from self._gate("time")
         return self._instance.server.sim.now
 
-    @_api_blocking
     def random_bytes(self, n: int) -> bytes:
         """Cryptographically-styled random bytes (deterministic per run)."""
         yield from self._gate("random")
@@ -593,7 +507,6 @@ class FunctionApi:
 
     # -- direct network access (the exit path) ---------------------------------------
 
-    @_api_blocking
     def http_get(self, url: str, timeout: float = 600.0) -> HttpResponse:
         """Fetch a URL directly from this Bento box (like ``requests.get``)."""
         yield from self._gate("http_get")
@@ -609,7 +522,6 @@ class FunctionApi:
         yield from self._charge_network(len(response.body))
         return response
 
-    @_api_blocking
     def http_session(self, host: str, port: int = 443,
                      timeout: float = 60.0) -> "HttpSessionApi":
         """A keep-alive HTTP session to one origin (like requests.Session).
@@ -629,7 +541,6 @@ class FunctionApi:
         framed = FramedStream(DirectByteStream(conn, instance.server.node))
         return HttpSessionApi(self, framed)
 
-    @_api_blocking
     def connect(self, host: str, port: int,
                 timeout: float = 60.0) -> SandboxedStream:
         """Open a raw (direct) connection, subject to iptables rules."""
@@ -644,7 +555,6 @@ class FunctionApi:
 
     # -- composition: deploying functions on other Bento boxes (§3) --------------------
 
-    @_api_blocking
     def deploy(self, code: str, manifest_wire: dict,
                target_fingerprint: Optional[str] = None,
                exclude_fingerprints: Optional[list] = None,
@@ -733,7 +643,6 @@ class FunctionApi:
         except KeyError:
             raise ApiError(f"unknown remote handle: {handle}") from None
 
-    @_api_blocking
     def remote_invoke(self, handle: str, args: list,
                       timeout: float = 600.0) -> Any:
         """Invoke a deployed function and wait for its result."""
@@ -741,27 +650,23 @@ class FunctionApi:
         session = self._session(handle)
         return (yield from session.invoke(self._thread, args, timeout=timeout))
 
-    @_api_blocking
     def remote_invoke_nowait(self, handle: str, args: list) -> None:
         """Start a deployed function without waiting for it to finish
         (for long-running loops like Dropbox)."""
         yield from self._gate("remote_invoke")
         self._session(handle).invoke_nowait(args)
 
-    @_api_blocking
     def remote_send(self, handle: str, payload: bytes) -> None:
         """Send an in-band message to a deployed (running) function."""
         yield from self._gate("remote_send")
         self._session(handle).send_message(payload)
 
-    @_api_blocking
     def remote_recv(self, handle: str, timeout: float = 600.0) -> bytes:
         """Receive the next output from a deployed function."""
         yield from self._gate("remote_recv")
         return (yield from self._session(handle).next_output(
             self._thread, timeout=timeout))
 
-    @_api_blocking
     def remote_info(self, handle: str) -> dict:
         """Where a deployed function lives and how to reach it.
 
@@ -777,7 +682,6 @@ class FunctionApi:
             "invocation": session.invocation_token,
         }
 
-    @_api_blocking
     def remote_shutdown(self, handle: str, timeout: float = 120.0) -> None:
         """Shut a deployed function down (we hold its shutdown token)."""
         yield from self._gate("remote_shutdown")

@@ -28,7 +28,7 @@ from repro.enclave.attestation import IntelAttestationService
 from repro.netsim.bytestream import FramedStream
 from repro.netsim.connection import ConnectionClosed
 from repro.netsim.network import NetworkError
-from repro.netsim.simulator import Actor, Sleep, SimTimeoutError, blocking
+from repro.netsim.simulator import Actor, Sleep, SimTimeoutError
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
 from repro.perf.counters import counters as _perf
@@ -110,7 +110,6 @@ class BentoClient:
 
     # -- connection -------------------------------------------------------------
 
-    @blocking
     def connect(self, thread: Actor, box: RelayDescriptor,
                 circuit: Optional[Circuit] = None,
                 timeout: float = 240.0) -> "BentoSession":
@@ -147,7 +146,6 @@ class BentoClient:
         return BentoSession(self, FramedStream(stream), circuit,
                             close_circuit=own_circuit, box=box)
 
-    @blocking
     def connect_direct(self, thread: Actor, box: RelayDescriptor,
                        timeout: float = 120.0) -> "BentoSession":
         """A session over a *direct* connection (no Tor circuit).
@@ -166,7 +164,6 @@ class BentoClient:
         return BentoSession(self, framed, circuit=None, close_circuit=False,
                             box=box)
 
-    @blocking
     def connect_via_onion(self, thread: Actor, onion_address: str,
                           timeout: float = 240.0) -> "BentoSession":
         """Reach a Bento server that runs as a hidden service."""
@@ -178,7 +175,6 @@ class BentoClient:
 
     # -- retry ------------------------------------------------------------------
 
-    @blocking
     def retrying(self, thread: Actor, op, *, attempts: int = 5,
                  backoff_s: float = 1.0, max_backoff_s: float = 30.0,
                  session: Optional["BentoSession"] = None):
@@ -219,8 +215,8 @@ class BentoClient:
                         last = exc
                         continue
             try:
-                # ``op`` may be a plain callable (legacy style) or one that
-                # returns a blocking generator to delegate to.
+                # ``op`` returns either a plain value or a blocking
+                # generator to delegate to.
                 result = op()
                 if isinstance(result, GeneratorType):
                     result = yield from result
@@ -252,13 +248,11 @@ class BentoSession:
 
     # -- low-level framing ------------------------------------------------
 
-    @blocking
     def _request(self, thread: Actor, frame: bytes, expect: str,
                  timeout: float) -> dict:
         self.framed.send_frame(frame)
         return (yield from self.await_message(thread, expect, timeout))
 
-    @blocking
     def await_message(self, thread: Actor, expect: str,
                       timeout: float = 600.0) -> dict:
         """Block until the server sends a message of type ``expect``.
@@ -316,7 +310,6 @@ class BentoSession:
 
     # -- protocol steps -----------------------------------------------------------
 
-    @blocking
     def query_policy(self, thread: Actor,
                      timeout: float = 120.0) -> MiddleboxNodePolicy:
         """Fetch the box's middlebox node policy (§5.5)."""
@@ -325,7 +318,6 @@ class BentoSession:
             messages.POLICY, timeout)
         return MiddleboxNodePolicy.from_wire(reply["policy"])
 
-    @blocking
     def request_image(self, thread: Actor, image: str = "python",
                       verify: str = "stapled",
                       timeout: float = 240.0,
@@ -394,7 +386,6 @@ class BentoSession:
                     self.client.rng, report, self.client.ias.public_key,
                     expected)
 
-    @blocking
     def load_function(self, thread: Actor, code: str,
                       manifest: FunctionManifest,
                       data: Optional[dict[str, bytes]] = None,
@@ -417,7 +408,6 @@ class BentoSession:
             thread, messages.encode_message(messages.LOAD_FUNCTION, **fields),
             messages.LOADED, timeout)
 
-    @blocking
     def attach(self, thread: Actor, invocation_token: str,
                timeout: float = 120.0) -> None:
         """Adopt a shared invocation token on a fresh session (§5.3:
@@ -427,7 +417,6 @@ class BentoSession:
             messages.ATTACH, token=invocation_token),
             messages.LOADED, timeout)
 
-    @blocking
     def invoke(self, thread: Actor, args: list,
                timeout: float = 600.0) -> Any:
         """Run the function and wait for its return value.
@@ -451,13 +440,11 @@ class BentoSession:
         self.framed.send_frame(messages.encode_message(
             messages.MSG, token=self.invocation_token, payload=bytes(payload)))
 
-    @blocking
     def next_output(self, thread: Actor, timeout: float = 600.0) -> bytes:
         """The next api.send() payload from the function."""
         reply = yield from self.await_message(thread, messages.OUTPUT, timeout)
         return reply["payload"]
 
-    @blocking
     def reconnect(self, thread: Actor, timeout: float = 240.0,
                   circuit_attempts: int = 3) -> None:
         """Re-establish the transport and reattach via the invocation token.
@@ -529,7 +516,6 @@ class BentoSession:
                 return
         raise BentoError(f"moved-to box {box_fp} not in the consensus")
 
-    @blocking
     def checkpoint_function(self, thread: Actor, seq: int = 0,
                             timeout: float = 240.0) -> dict:
         """Snapshot the function's migratable state (owner-only).
@@ -552,7 +538,6 @@ class BentoSession:
                 reply["sealed_checkpoint"]))
         return reply["checkpoint"]
 
-    @blocking
     def restore_function(self, thread: Actor, checkpoint: Optional[dict],
                          start: bool = False,
                          adopt_invocation: Optional[str] = None,
@@ -589,7 +574,6 @@ class BentoSession:
         self.shutdown_token = reply.get("shutdown", self.shutdown_token)
         return reply
 
-    @blocking
     def shutdown(self, thread: Actor, timeout: float = 120.0) -> None:
         """Spend the shutdown token; the container is reclaimed."""
         if self.shutdown_token is None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.netsim.simulator import Sleep, blocking
+from repro.netsim.simulator import Sleep
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.util.errors import ReproError
@@ -224,7 +224,6 @@ class IntelAttestationService:
         self.reports_issued += 1
         return report
 
-    @blocking
     def verify_quote_blocking(self, thread, quote: Quote) -> AttestationReport:
         """Quote verification including the WAN round trip to Intel."""
         yield Sleep(2.0 * self.latency_s)

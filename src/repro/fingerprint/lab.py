@@ -25,7 +25,7 @@ from repro.fingerprint.websites import SiteSpec, build_corpus
 from repro.functions.browser import BrowserFunction
 from repro.netsim.bytestream import FramedStream
 from repro.netsim.http import fetch
-from repro.netsim.simulator import Join, blocking
+from repro.netsim.simulator import Join
 from repro.netsim.trace import PacketRecord, TraceRecorder
 from repro.tor.testnet import TorTestNetwork
 
@@ -33,7 +33,6 @@ from repro.tor.testnet import TorTestNetwork
 PARALLEL_STREAMS = 6    # a browser's typical per-host connection pool
 
 
-@blocking
 def standard_tor_visit(thread, client, hostname: str,
                        parallel: int = PARALLEL_STREAMS,
                        circuit=None) -> int:
@@ -136,10 +135,12 @@ class FingerprintLab:
                 visit_fn: Optional[Callable] = None) -> list[TraceSample]:
         """Capture ``visits_per_site`` labelled traces per site.
 
-        Returns samples in (visit-round, site) order.  ``visit_fn`` (taking
-        ``(thread, tor_client, site)``) overrides the built-in behaviors
-        for custom-defense ablations.
+        Returns samples in (visit-round, site) order.  ``visit_fn`` (a
+        generator function taking ``(task, tor_client, site)``) overrides
+        the built-in behaviors for custom-defense ablations.
         """
+        if visit_fn is not None and not inspect.isgeneratorfunction(visit_fn):
+            raise TypeError("visit_fn must be a generator function")
         if site_indices is None:
             site_indices = [site.index for site in self.corpus]
         samples: list[TraceSample] = []
@@ -159,22 +160,15 @@ class FingerprintLab:
         recorder = TraceRecorder(client.node)
         started = self.net.sim.now
 
-        if visit_fn is not None and not inspect.isgeneratorfunction(visit_fn):
-            # Legacy plain-callable visit_fn (custom ablations): run it on
-            # a deprecated sim-thread so its blocking calls still drive.
-            def _run(thread):
-                visit_fn(thread, client, site)
-        else:
-            def _run(thread):
-                if visit_fn is not None:
-                    yield from visit_fn(thread, client, site)
-                elif defense == "none":
-                    yield from self._visit_standard(thread, client, site)
-                elif defense == "browser":
-                    yield from self._visit_browser(thread, client, site,
-                                                   padding)
-                else:
-                    raise ValueError(f"unknown defense: {defense}")
+        def _run(thread):
+            if visit_fn is not None:
+                yield from visit_fn(thread, client, site)
+            elif defense == "none":
+                yield from self._visit_standard(thread, client, site)
+            elif defense == "browser":
+                yield from self._visit_browser(thread, client, site, padding)
+            else:
+                raise ValueError(f"unknown defense: {defense}")
 
         visit_thread = self.net.sim.spawn(_run, name=f"visit{self._visit_counter}")
         self.net.sim.run_until_done(visit_thread)

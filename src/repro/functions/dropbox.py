@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 
 from repro.core.manifest import FunctionManifest
-from repro.netsim.simulator import Actor, blocking
+from repro.netsim.simulator import Actor
 
 MB = 1024 * 1024
 
@@ -110,7 +110,6 @@ class DropboxFunction:
             args=[max_bytes, max_gets, expiry_s]))
 
     @staticmethod
-    @blocking
     def put(thread: Actor, session, name: str, data: bytes,
             timeout: float = 600.0) -> bool:
         """Store bytes under a name in the running dropbox."""
@@ -120,7 +119,6 @@ class DropboxFunction:
         return bool(json.loads(reply.decode("utf-8")).get("ok"))
 
     @staticmethod
-    @blocking
     def get(thread: Actor, session, name: str,
             timeout: float = 600.0) -> bytes:
         """Fetch a named file from the running dropbox."""
@@ -128,7 +126,6 @@ class DropboxFunction:
         return (yield from session.next_output(thread, timeout=timeout))
 
     @staticmethod
-    @blocking
     def list_names(thread: Actor, session,
                    timeout: float = 600.0) -> list[str]:
         """Names currently stored in the running dropbox."""
@@ -137,7 +134,6 @@ class DropboxFunction:
         return json.loads(reply)
 
     @staticmethod
-    @blocking
     def delete(thread: Actor, session, name: str,
                timeout: float = 600.0) -> bool:
         """Remove a file."""
@@ -146,7 +142,6 @@ class DropboxFunction:
         return bool(json.loads(reply).get("ok"))
 
     @staticmethod
-    @blocking
     def close(thread: Actor, session, timeout: float = 600.0) -> dict:
         """Ask the loop to finish; returns the function's final stats."""
         from repro.core import messages

@@ -16,10 +16,9 @@ into.  Content is served over hidden-service streams with a tiny
 length-prefixed GET protocol; clients hold their stream open (ending with
 ``DONE``) so "active" counts reflect live downloads.
 
-The uploaded sources are coroutine-style: every api call is a blocking
-generator delegated to with ``yield from``, so the whole balancer (and
-each replica, and each per-stream handler) runs as one
-:class:`~repro.netsim.simulator.SimTask` instead of an OS thread.
+Like every uploaded source, these call each blocking api method with
+``yield from``; the balancer, each replica and each per-stream handler
+run as :class:`~repro.netsim.simulator.SimTask`\\ s.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import json
 
 from repro.core.manifest import FunctionManifest
-from repro.netsim.simulator import Actor, blocking
+from repro.netsim.simulator import Actor
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
 from repro.tor.client import TorClient
@@ -412,7 +411,6 @@ class LoadBalancerFunction:
                           replica_image, timeout, announce, standbys)
 
     @staticmethod
-    @blocking
     def _start(thread: Actor, session, content: bytes, high_water: int,
                low_water: int, max_replicas: int, duration_s: float,
                poll_interval: float, replica_image: str, timeout: float,
@@ -444,7 +442,6 @@ class LoadBalancerFunction:
         return onion
 
     @staticmethod
-    @blocking
     def download(thread: Actor, tor_client: TorClient, onion: str,
                  timeout: float = 1200.0) -> tuple[bytes, float]:
         """One client's full download from the (possibly balanced) service.

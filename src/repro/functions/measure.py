@@ -12,7 +12,7 @@ services, and no message loop.
 from __future__ import annotations
 
 from repro.core.manifest import FunctionManifest
-from repro.netsim.simulator import Actor, blocking
+from repro.netsim.simulator import Actor
 
 MB = 1024 * 1024
 
@@ -64,7 +64,6 @@ class MeasureFunction:
             image=image, memory_bytes=2 * MB)
 
     @staticmethod
-    @blocking
     def run(thread: Actor, session, targets: list[tuple[str, int]],
             rtt_samples: int = 3, bw_probe_url: str = "",
             timeout: float = 600.0) -> dict:

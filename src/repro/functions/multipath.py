@@ -17,7 +17,7 @@ though for a single file one proportional split suffices.
 from __future__ import annotations
 
 from repro.core.manifest import FunctionManifest
-from repro.netsim.simulator import Actor, blocking
+from repro.netsim.simulator import Actor
 
 MB = 1024 * 1024
 
@@ -89,7 +89,6 @@ class MultipathFunction:
             image=image, memory_bytes=memory_bytes)
 
     @staticmethod
-    @blocking
     def download(thread: Actor, session, url: str, n_paths: int,
                  timeout: float = 1200.0) -> tuple[bytes, dict]:
         """Invoke a loaded multipath function; returns (body, stats)."""

@@ -18,7 +18,7 @@ import json
 
 from repro.core.manifest import FunctionManifest
 from repro.core.policy import MiddleboxNodePolicy
-from repro.netsim.simulator import Actor, blocking
+from repro.netsim.simulator import Actor
 
 MB = 1024 * 1024
 
@@ -58,7 +58,6 @@ class PolicyQueryFunction:
         session.invoke_nowait([json.dumps(policy.to_wire()), max_queries])
 
     @staticmethod
-    @blocking
     def query(thread: Actor, session,
               timeout: float = 300.0) -> MiddleboxNodePolicy:
         """Ask a running PolicyQuery function for the node's policy."""

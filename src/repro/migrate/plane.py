@@ -31,7 +31,7 @@ from repro.migrate.checkpoint import (
     checkpoint_instance,
     store_local_checkpoint,
 )
-from repro.netsim.simulator import Actor, Sleep, blocking
+from repro.netsim.simulator import Actor, Sleep
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
 from repro.perf.counters import counters as _perf
@@ -65,7 +65,6 @@ class MigrationPlane:
 
     # -- draining ----------------------------------------------------------
 
-    @blocking
     def drain(self, thread: Actor, instance,
               dest_fp: Optional[str] = None) -> Optional[str]:
         """Drain ``instance`` to another box; returns the destination

@@ -4,7 +4,7 @@ This is the substrate the paper's *live Tor network* evaluation runs on in
 this reproduction.  It provides:
 
 * :class:`~repro.netsim.simulator.Simulator` -- event loop, timers, futures,
-  and cooperative blocking actors (:class:`~repro.netsim.simulator.SimThread`),
+  and coroutine actors (:class:`~repro.netsim.simulator.SimTask`),
 * :class:`~repro.netsim.node.Node` with rate-limited up/down interfaces,
 * :class:`~repro.netsim.network.Network` -- topology, latency, listeners,
 * :class:`~repro.netsim.connection.Connection` -- reliable ordered message
@@ -19,7 +19,7 @@ this reproduction.  It provides:
   lookahead, merged traces byte-identical to single-process runs.
 """
 
-from repro.netsim.simulator import Future, Simulator, SimThread, SimTimeoutError
+from repro.netsim.simulator import Future, Simulator, SimTask, SimTimeoutError
 from repro.netsim.node import Node, RemoteNode
 from repro.netsim.network import Network, NetworkError
 from repro.netsim.connection import Connection, ConnectionClosed
@@ -44,7 +44,7 @@ from repro.netsim.scenarios import MeshScenario
 
 __all__ = [
     "Simulator",
-    "SimThread",
+    "SimTask",
     "SimTimeoutError",
     "Future",
     "Node",

@@ -21,7 +21,7 @@ from typing import Optional, Protocol
 
 from repro.netsim.connection import Connection, ConnectionClosed
 from repro.netsim.node import Node
-from repro.netsim.simulator import Actor, Future, Wait, blocking
+from repro.netsim.simulator import Actor, Future, Wait
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.perf.counters import counters as _perf
 
@@ -90,7 +90,6 @@ class _RecvQueue:
         if self._waiter is not None and not self._waiter.done:
             self._waiter.resolve(None)
 
-    @blocking
     def pop(self, thread: Actor, timeout: Optional[float],
             min_bytes: int = 1) -> bytes:
         """Block until ``min_bytes`` bytes (or EOF) are available.
@@ -99,7 +98,7 @@ class _RecvQueue:
         chunk (preserving message boundaries for legacy callers).  With a
         larger hint, the reader only wakes once enough bytes are buffered
         and receives them as one bytes-like object — on a multi-megabyte
-        transfer that removes one sim-thread wake-up per network chunk.
+        transfer that removes one actor wake-up per network chunk.
         """
         if min_bytes > 1:
             chunks = self._chunks
@@ -175,7 +174,6 @@ class DirectByteStream:
             self.conn.send(self.local,
                            data if isinstance(data, bytes) else bytes(data))
 
-    @blocking
     def recv(self, thread: Actor, timeout: Optional[float] = None,
              min_bytes: int = 1) -> bytes:
         """Block until ``min_bytes`` bytes arrive; b'' at EOF."""
@@ -295,7 +293,6 @@ class FramedStream:
             self.on_frame(len(frame))
         self.stream.send(Framer.encode(frame))
 
-    @blocking
     def recv_frame(self, thread: Actor,
                    timeout: Optional[float] = None) -> Optional[bytes]:
         """Block until one complete frame arrives; ``None`` on EOF."""

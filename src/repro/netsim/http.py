@@ -24,7 +24,7 @@ from repro.netsim.bytestream import ByteStream, DirectByteStream, FramedStream
 from repro.netsim.connection import Connection
 from repro.netsim.network import Network, NetworkError
 from repro.netsim.node import Node
-from repro.netsim.simulator import Actor, blocking
+from repro.netsim.simulator import Actor
 from repro.util.serialization import canonical_decode, canonical_encode
 
 HTTPS_PORT = 443
@@ -143,7 +143,6 @@ class HttpServer:
                                      length=request.get("range_length"))
         framed.close()
 
-    @blocking
     def _respond(self, thread: Actor, framed: FramedStream, path: str,
                  offset=None, length=None) -> None:
         body = self.resources.get(path)
@@ -160,7 +159,6 @@ class HttpServer:
         yield from serve_body(thread, framed, status, body, total=total)
 
 
-@blocking
 def serve_body(thread: Actor, framed: FramedStream, status: int,
                body: bytes, total: Optional[int] = None) -> None:
     """Send one response (header + ack-paced windows) on ``framed``.
@@ -186,7 +184,6 @@ def serve_body(thread: Actor, framed: FramedStream, status: int,
                 return  # peer went away mid-transfer
 
 
-@blocking
 def fetch(thread: Actor, framed: FramedStream, path: str,
           url: str = "", timeout: float = 600.0,
           offset: Optional[int] = None,
@@ -227,7 +224,6 @@ def fetch(thread: Actor, framed: FramedStream, path: str,
                         total=int(header.get("total", len(body))))
 
 
-@blocking
 def http_get(thread: Actor, network: Network, client: Node, url: str,
              timeout: float = 600.0) -> HttpResponse:
     """Resolve, dial (TCP+TLS for https), GET, and close.

@@ -2,7 +2,7 @@
 the client side of the hidden-service rendezvous protocol.
 
 All public methods that involve network round trips take the calling
-actor (task or legacy sim-thread) and block in simulated time.
+actor and block in simulated time.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from repro.crypto.aead import AeadKey
 from repro.netsim.connection import ConnectionClosed
 from repro.netsim.network import Network, NetworkError
 from repro.netsim.node import Node
-from repro.netsim.simulator import (Actor, Future, Sleep, SimTimeoutError,
-                                    Wait, blocking)
+from repro.netsim.simulator import Actor, Future, Sleep, SimTimeoutError, Wait
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
 from repro.perf.counters import counters as _perf
@@ -128,7 +127,6 @@ class TorClient:
 
     # -- circuit construction ------------------------------------------------
 
-    @blocking
     def build_circuit(self, thread: Actor,
                       path: Optional[list[RelayDescriptor]] = None,
                       length: int = 3,
@@ -165,7 +163,6 @@ class TorClient:
                      guard=circuit.path[0].nickname)
         return circuit
 
-    @blocking
     def _build_circuit(self, thread: Actor,
                        path: Optional[list[RelayDescriptor]] = None,
                        length: int = 3,
@@ -259,7 +256,6 @@ class TorClient:
         self.circuits.append(circuit)
         return circuit
 
-    @blocking
     def build_circuit_with_retry(self, thread: Actor, attempts: int = 3,
                                  backoff_s: float = 1.0,
                                  timeout: float = 120.0,
@@ -301,7 +297,6 @@ class TorClient:
 
     # -- streams --------------------------------------------------------------
 
-    @blocking
     def open_stream(self, thread: Actor, circuit: Circuit, host: str,
                     port: int, timeout: float = 120.0) -> TorStream:
         """BEGIN a stream through an existing circuit."""
@@ -310,7 +305,6 @@ class TorClient:
 
     # -- hidden services: client side --------------------------------------------
 
-    @blocking
     def connect_to_hidden_service(self, thread: Actor, onion_address: str,
                                   timeout: float = 240.0,
                                   intro_extra=None) -> Circuit:
@@ -341,7 +335,6 @@ class TorClient:
             span.end(self.sim.now, ok=True, circ_id=circuit.circ_id)
         return circuit
 
-    @blocking
     def _connect_to_hidden_service(self, thread: Actor,
                                    onion_address: str,
                                    timeout: float = 240.0,

@@ -40,6 +40,6 @@ def bento_net():
 
 
 def run_thread(net, fn, name="test", until=None):
-    """Spawn ``fn`` as a sim-thread and run the simulation to completion."""
+    """Spawn ``fn`` as an actor and run the simulation to completion."""
     thread = net.sim.spawn(fn, name=name)
     return net.sim.run_until_done(thread, until=until)

@@ -66,7 +66,7 @@ class TestChaosSoak:
         assert len(problems) == 4
 
 
-CODE = "def noop():\n    return 'ok'\n"
+CODE = "def noop():\n    yield from ()\n    return 'ok'\n"
 
 
 class TestCacheInvalidationUnderChaos:
@@ -75,11 +75,11 @@ class TestCacheInvalidationUnderChaos:
     into the post-restart world."""
 
     def _run_session(self, thread, client, box_descriptor, manifest):
-        session = client.connect(thread, box_descriptor)
-        session.request_image(thread, "python", verify="none")
-        session.load_function(thread, CODE, manifest)
-        assert session.invoke(thread, []) == "ok"
-        session.shutdown(thread)
+        session = yield from client.connect(thread, box_descriptor)
+        yield from session.request_image(thread, "python", verify="none")
+        yield from session.load_function(thread, CODE, manifest)
+        assert (yield from session.invoke(thread, [])) == "ok"
+        yield from session.shutdown(thread)
         session.close()
 
     def test_box_crash_clears_server_caches(self):
@@ -94,8 +94,8 @@ class TestCacheInvalidationUnderChaos:
 
         def first_sessions(thread):
             descriptor = client.discover_boxes()[0]
-            self._run_session(thread, client, descriptor, manifest)
-            self._run_session(thread, client, descriptor, manifest)
+            yield from self._run_session(thread, client, descriptor, manifest)
+            yield from self._run_session(thread, client, descriptor, manifest)
 
         net.sim.run_until_done(net.sim.spawn(first_sessions))
         # Two identical sessions primed both server caches.
@@ -109,7 +109,7 @@ class TestCacheInvalidationUnderChaos:
 
         def after_restart(thread):
             descriptor = client.discover_boxes()[0]
-            self._run_session(thread, client, descriptor, manifest)
+            yield from self._run_session(thread, client, descriptor, manifest)
 
         net.sim.run_until_done(net.sim.spawn(after_restart))
         # The restarted box rebuilt its verdicts from scratch.
@@ -127,7 +127,7 @@ class TestCacheInvalidationUnderChaos:
 
         def flow(thread):
             descriptor = client.discover_boxes()[0]
-            self._run_session(thread, client, descriptor, manifest)
+            yield from self._run_session(thread, client, descriptor, manifest)
             before = client.tor.consensus()
             # Mid-run churn: a (non-Bento) relay drops out of the
             # directory, as after an unrecovered crash.
@@ -138,6 +138,6 @@ class TestCacheInvalidationUnderChaos:
             assert all(r.identity_fp != gone for r in after.routers)
             # Sessions keep working against the post-churn consensus.
             descriptor = client.discover_boxes()[0]
-            self._run_session(thread, client, descriptor, manifest)
+            yield from self._run_session(thread, client, descriptor, manifest)
 
         net.sim.run_until_done(net.sim.spawn(flow))

@@ -26,13 +26,13 @@ class TestConnectDirect:
         client = BentoClient(direct_net.create_client(), ias=direct_net.ias)
 
         def main(thread):
-            session = client.connect_direct(thread, client.pick_box())
-            session.request_image(thread, "python")
-            session.load_function(
-                thread, "def f(x):\n    return x * 2\n",
+            session = yield from client.connect_direct(thread, client.pick_box())
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
+                thread, "def f(x):\n    yield from ()\n    return x * 2\n",
                 FunctionManifest.create("f", "f", {"send"}))
-            result = session.invoke(thread, [21])
-            session.shutdown(thread)
+            result = yield from session.invoke(thread, [21])
+            yield from session.shutdown(thread)
             session.close()
             return result
 
@@ -44,16 +44,16 @@ class TestConnectDirect:
         def main(thread):
             box = client.pick_box()
             start = direct_net.sim.now
-            session = client.connect_direct(thread, box)
-            session.request_image(thread, "python")
+            session = yield from client.connect_direct(thread, box)
+            yield from session.request_image(thread, "python")
             direct_time = direct_net.sim.now - start
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
 
             start = direct_net.sim.now
-            tor_session = client.connect(thread, box)
-            tor_session.request_image(thread, "python")
+            tor_session = yield from client.connect(thread, box)
+            yield from tor_session.request_image(thread, "python")
             tor_time = direct_net.sim.now - start
-            tor_session.shutdown(thread)
+            yield from tor_session.shutdown(thread)
             return direct_time, tor_time
 
         direct_time, tor_time = run_thread(direct_net, main)
@@ -62,19 +62,22 @@ class TestConnectDirect:
     def test_function_can_deploy_direct(self, direct_net):
         code = """
 def parent(child_source, child_manifest):
-    handle = api.deploy(child_source, child_manifest, direct=True)
-    return api.remote_invoke(handle, [])
+    handle = yield from api.deploy(child_source, child_manifest, direct=True)
+    return (yield from api.remote_invoke(handle, []))
 """
-        child = "def child():\n    return 'deployed-direct'\n"
+        child = ("def child():\n"
+                 "    yield from ()\n"
+                 "    return 'deployed-direct'\n")
         client = BentoClient(direct_net.create_client(), ias=direct_net.ias)
 
         def main(thread):
-            session = client.connect(thread, client.pick_box())
-            session.request_image(thread, "python")
-            session.load_function(thread, code, FunctionManifest.create(
-                "parent", "parent", {"deploy", "remote_invoke"}))
+            session = yield from client.connect(thread, client.pick_box())
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
+                thread, code, FunctionManifest.create(
+                    "parent", "parent", {"deploy", "remote_invoke"}))
             child_manifest = FunctionManifest.create(
                 "child", "child", {"send"}).to_wire()
-            return session.invoke(thread, [child, child_manifest])
+            return (yield from session.invoke(thread, [child, child_manifest]))
 
         assert run_thread(direct_net, main) == "deployed-direct"

@@ -11,6 +11,7 @@ from repro.core.errors import BentoError
 from repro.crypto.rsa import RsaKeyPair
 from repro.enclave.attestation import IntelAttestationService
 from repro.netsim.faults import FaultPlane
+from repro.netsim.simulator import Sleep
 from repro.perf.counters import counters as _perf
 from repro.tor.hidden_service import HiddenService
 from repro.tor.testnet import TorTestNetwork
@@ -18,6 +19,7 @@ from repro.tor.testnet import TorTestNetwork
 from conftest import run_thread
 
 ECHO = ("def echo(x):\n"
+        "    yield from ()\n"
         "    return x\n")
 
 
@@ -42,9 +44,9 @@ def server_for(net, box):
 def echo_session(net, thread, name="client"):
     client = BentoClient(net.create_client(name), ias=net.ias)
     box = client.pick_box()
-    session = client.connect(thread, box)
-    session.request_image(thread, "python")
-    session.load_function(thread, ECHO, FunctionManifest.create(
+    session = yield from client.connect(thread, box)
+    yield from session.request_image(thread, "python")
+    yield from session.load_function(thread, ECHO, FunctionManifest.create(
         "echo", "echo", set(), image="python"))
     return client, box, session
 
@@ -52,14 +54,14 @@ def echo_session(net, thread, name="client"):
 class TestSessionReconnect:
     def test_reconnect_reattaches_same_instance(self, net):
         def main(thread):
-            client, box, session = echo_session(net, thread)
+            client, box, session = yield from echo_session(net, thread)
             server = server_for(net, box)
-            assert session.invoke(thread, [1]) == 1
+            assert (yield from session.invoke(thread, [1])) == 1
             instance = server._by_invocation[session.invocation_token]
             # The guard connection dies under the session.
             session.circuit.conn.abort()
-            session.reconnect(thread)
-            assert session.invoke(thread, [2]) == 2
+            yield from session.reconnect(thread)
+            assert (yield from session.invoke(thread, [2])) == 2
             # Same instance on the box: §5.3 fate-shares with the box,
             # not with the client's connection.
             assert server._by_invocation[session.invocation_token] is instance
@@ -70,14 +72,14 @@ class TestSessionReconnect:
 
     def test_retrying_with_session_recovers_an_invoke(self, net):
         def main(thread):
-            client, box, session = echo_session(net, thread)
+            client, box, session = yield from echo_session(net, thread)
             session.circuit.conn.abort()
 
             def op():
-                return session.invoke(thread, [7], timeout=30.0)
+                return (yield from session.invoke(thread, [7], timeout=30.0))
 
-            result = client.retrying(thread, op, attempts=3, backoff_s=0.5,
-                                     session=session)
+            result = yield from client.retrying(thread, op, attempts=3, backoff_s=0.5,
+                                                session=session)
             assert result == 7
             session.close()
 
@@ -97,8 +99,8 @@ class TestRetrying:
 
         def main(thread):
             t0 = net.sim.now
-            assert client.retrying(thread, op, attempts=5,
-                                   backoff_s=0.25) == "ok"
+            assert (yield from client.retrying(thread, op, attempts=5,
+                                               backoff_s=0.25)) == "ok"
             assert calls["n"] == 3
             assert net.sim.now > t0  # backoff actually slept
             assert _perf.retries == 2
@@ -113,7 +115,7 @@ class TestRetrying:
 
         def main(thread):
             with pytest.raises(BentoError, match="after 2 attempts"):
-                client.retrying(thread, op, attempts=2, backoff_s=0.1)
+                yield from client.retrying(thread, op, attempts=2, backoff_s=0.1)
 
         run_thread(net, main)
 
@@ -127,7 +129,7 @@ class TestRetrying:
 
         def main(thread):
             with pytest.raises(ValueError):
-                client.retrying(thread, op, attempts=5, backoff_s=0.1)
+                yield from client.retrying(thread, op, attempts=5, backoff_s=0.1)
             assert calls["n"] == 1
 
         run_thread(net, main)
@@ -136,12 +138,12 @@ class TestRetrying:
 class TestOrphanReaping:
     def test_orphans_reaped_after_grace(self, net):
         def main(thread):
-            client, box, session = echo_session(net, thread)
+            client, box, session = yield from echo_session(net, thread)
             server = server_for(net, box)
-            assert session.invoke(thread, [1]) == 1
+            assert (yield from session.invoke(thread, [1])) == 1
             assert server.active_function_count == 1
             session.close()
-            thread.sleep(60.0)  # grace is 30s; the sweep runs after it
+            yield Sleep(60.0)  # grace is 30s; the sweep runs after it
             assert server.active_function_count == 0
             assert _perf.orphans_reaped == 1
 
@@ -149,10 +151,10 @@ class TestOrphanReaping:
 
     def test_live_session_is_not_reaped(self, net):
         def main(thread):
-            client, box, session = echo_session(net, thread)
+            client, box, session = yield from echo_session(net, thread)
             server = server_for(net, box)
-            assert session.invoke(thread, [1]) == 1
-            thread.sleep(60.0)
+            assert (yield from session.invoke(thread, [1])) == 1
+            yield Sleep(60.0)
             assert server.active_function_count == 1
             server.reap_orphans()  # even an explicit sweep spares it
             assert server.active_function_count == 1
@@ -170,9 +172,9 @@ class TestBoxCrash:
                 released.append(True)
 
         def main(thread):
-            client, box, session = echo_session(net, thread)
+            client, box, session = yield from echo_session(net, thread)
             server = server_for(net, box)
-            assert session.invoke(thread, [1]) == 1
+            assert (yield from session.invoke(thread, [1])) == 1
             instance = server._by_invocation[session.invocation_token]
             instance.firewall = SpyFirewall()
             net.plane.crash_node(server.node.name)
@@ -192,7 +194,7 @@ class TestBoxCrash:
                 released.append(True)
 
         def main(thread):
-            client, box, session = echo_session(net, thread)
+            client, box, session = yield from echo_session(net, thread)
             server = server_for(net, box)
             instance = server._by_invocation[session.invocation_token]
             instance.firewall = SpyFirewall()
@@ -213,7 +215,7 @@ class TestDescriptorOwnership:
         def main(thread):
             owner = net.create_client("hs-owner")
             service = HiddenService(owner, handler)
-            service.establish(thread, n_intro=1)
+            yield from service.establish(thread, n_intro=1)
             onion = str(service.onion_address)
             assert net.authority.fetch_hs_descriptor(onion) is not None
 

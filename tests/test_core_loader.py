@@ -84,9 +84,12 @@ class TestRuntimeLoading:
         return FunctionRuntime(_FakeInstance(), code, manifest)
 
     def test_load_finds_entry(self):
-        runtime = self._runtime("def main():\n    return 1\n")
+        runtime = self._runtime(
+            "def main():\n    yield from ()\n    return 1\n")
         runtime.load()
-        assert runtime.entry() == 1
+        with pytest.raises(StopIteration) as stop:
+            next(runtime.entry())
+        assert stop.value.value == 1
 
     def test_missing_entry_rejected(self):
         runtime = self._runtime("x = 5\n")

@@ -14,7 +14,7 @@ from conftest import run_thread
 
 MB = 1024 * 1024
 
-NOOP = "def main():\n    return 'ok'\n"
+NOOP = "def main():\n    yield from ()\n    return 'ok'\n"
 
 
 @pytest.fixture()
@@ -28,9 +28,9 @@ def sgx_net():
 
 def _sgx_session(thread, net, memory=4 * MB):
     client = BentoClient(net.create_client(), ias=net.ias)
-    session = client.connect(thread, client.pick_box())
-    session.request_image(thread, "python-op-sgx")
-    session.load_function(thread, NOOP, FunctionManifest.create(
+    session = yield from client.connect(thread, client.pick_box())
+    yield from session.request_image(thread, "python-op-sgx")
+    yield from session.load_function(thread, NOOP, FunctionManifest.create(
         "noop", "main", {"send"}, image="python-op-sgx",
         memory_bytes=memory))
     return session
@@ -42,11 +42,11 @@ class TestEpcSharing:
 
         def main(thread):
             before = host.epc_committed
-            session = _sgx_session(thread, sgx_net)
+            session = yield from _sgx_session(thread, sgx_net)
             charged = host.epc_committed - before
             # image base (16MB) + conclave overhead + manifest memory.
             assert charged >= 16 * MB + CONCLAVE_OVERHEAD_BYTES + 4 * MB
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
             assert host.epc_committed == before   # fully reclaimed
 
         run_thread(sgx_net, main)
@@ -55,11 +55,13 @@ class TestEpcSharing:
         host = sgx_net.server.enclave_host
 
         def main(thread):
-            sessions = [_sgx_session(thread, sgx_net) for _ in range(3)]
+            sessions = []
+            for _ in range(3):
+                sessions.append((yield from _sgx_session(thread, sgx_net)))
             assert len(host.enclaves) == 3
             assert host.oversubscribed is (host.epc_committed > host.epc_usable)
             for session in sessions:
-                session.shutdown(thread)
+                yield from session.shutdown(thread)
             assert host.epc_committed == 0
 
         run_thread(sgx_net, main)
@@ -69,10 +71,10 @@ class TestEpcSharing:
 
         def main(thread):
             client = BentoClient(sgx_net.create_client(), ias=sgx_net.ias)
-            session = client.connect(thread, client.pick_box())
-            session.request_image(thread, "python")
+            session = yield from client.connect(thread, client.pick_box())
+            yield from session.request_image(thread, "python")
             assert host.epc_committed == 0
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
 
         run_thread(sgx_net, main)
 
@@ -81,23 +83,25 @@ class TestStorageEncryptionAtRest:
     def test_sgx_function_files_are_ciphertext_on_host(self, sgx_net):
         """§6.2: the operator only ever sees FS-Protect ciphertext."""
         code = ("def main():\n"
-                "    api.storage.put('/note.txt', b'INCRIMINATING')\n"
-                "    return api.storage.get('/note.txt').decode()\n")
+                "    yield from api.storage.put('/note.txt', b'INCRIMINATING')\n"
+                "    data = yield from api.storage.get('/note.txt')\n"
+                "    return data.decode()\n")
 
         def main(thread):
             client = BentoClient(sgx_net.create_client(), ias=sgx_net.ias)
-            session = client.connect(thread, client.pick_box())
-            session.request_image(thread, "python-op-sgx")
-            session.load_function(thread, code, FunctionManifest.create(
-                "writer", "main", {"storage.put", "storage.get"},
-                image="python-op-sgx", disk_bytes=MB))
-            assert session.invoke(thread, []) == "INCRIMINATING"
+            session = yield from client.connect(thread, client.pick_box())
+            yield from session.request_image(thread, "python-op-sgx")
+            yield from session.load_function(
+                thread, code, FunctionManifest.create(
+                    "writer", "main", {"storage.put", "storage.get"},
+                    image="python-op-sgx", disk_bytes=MB))
+            assert (yield from session.invoke(thread, [])) == "INCRIMINATING"
             # Operator-side view: raw bytes on the host filesystem.
             host_fs = sgx_net.server.host_fs
             blobs = [host_fs.read_file(p) for p in host_fs.walk_files("/")]
             assert blobs
             assert not any(b"INCRIMINATING" in blob for blob in blobs)
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
 
         run_thread(sgx_net, main)
 
@@ -106,19 +110,20 @@ class TestStorageEncryptionAtRest:
         function files — exactly why §6.2 recommends the SGX image for
         storage-bearing policies."""
         code = ("def main():\n"
-                "    api.storage.put('/note.txt', b'READABLE')\n")
+                "    yield from api.storage.put('/note.txt', b'READABLE')\n")
 
         def main(thread):
             client = BentoClient(sgx_net.create_client(), ias=sgx_net.ias)
-            session = client.connect(thread, client.pick_box())
-            session.request_image(thread, "python")
-            session.load_function(thread, code, FunctionManifest.create(
-                "writer", "main", {"storage.put"}, image="python",
-                disk_bytes=MB))
-            session.invoke(thread, [])
+            session = yield from client.connect(thread, client.pick_box())
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
+                thread, code, FunctionManifest.create(
+                    "writer", "main", {"storage.put"}, image="python",
+                    disk_bytes=MB))
+            yield from session.invoke(thread, [])
             host_fs = sgx_net.server.host_fs
             blobs = [host_fs.read_file(p) for p in host_fs.walk_files("/")]
             assert any(b"READABLE" in blob for blob in blobs)
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
 
         run_thread(sgx_net, main)

@@ -121,6 +121,10 @@ class TestLabSmall:
         return FingerprintLab(n_sites=6, n_relays=9, seed="lab-tests",
                               max_total=300 * 1024)
 
+    def test_plain_visit_fn_refused(self, lab):
+        with pytest.raises(TypeError, match="generator"):
+            lab.collect(visit_fn=lambda task, client, site: None)
+
     def test_standard_attack_beats_chance(self, lab):
         samples = lab.collect("none", visits_per_site=4)
         X, y = lab.dataset(samples)

@@ -17,7 +17,7 @@ from repro.functions.loadbalancer import LoadBalancerFunction
 from repro.functions.multipath import MultipathFunction
 from repro.functions.shard import ShardFunction
 from repro.netsim.network import Network
-from repro.netsim.simulator import Simulator
+from repro.netsim.simulator import Simulator, Sleep
 from repro.tor.testnet import TorTestNetwork
 
 from conftest import run_thread
@@ -35,9 +35,9 @@ def _bento_net(seed, n_relays=10, bento_fraction=0.5, fast=True):
 
 def _session(thread, net, source, manifest, box=None):
     client = BentoClient(net.create_client(), ias=net.ias)
-    session = client.connect(thread, box or client.pick_box())
-    session.request_image(thread, manifest.image)
-    session.load_function(thread, source, manifest)
+    session = yield from client.connect(thread, box or client.pick_box())
+    yield from session.request_image(thread, manifest.image)
+    yield from session.load_function(thread, source, manifest)
     return client, session
 
 
@@ -47,16 +47,16 @@ class TestShard:
         data = bytes(net.sim.rng.fork("file").randbytes(50_000))
 
         def main(thread):
-            client, session = _session(
+            client, session = yield from _session(
                 thread, net, ShardFunction.SOURCE, ShardFunction.manifest())
-            metadata = ShardFunction.scatter(thread, session, data, n=4, k=2,
-                                             name="doc")
+            metadata = yield from ShardFunction.scatter(thread, session, data, n=4, k=2,
+                                                        name="doc")
             assert metadata["n"] == 4 and metadata["k"] == 2
             assert len(metadata["placements"]) == 4
             # Dropboxes landed on distinct boxes when possible.
             boxes = [p["box_fp"] for p in metadata["placements"]]
             assert len(set(boxes)) >= 2
-            restored = ShardFunction.gather(thread, client, metadata)
+            restored = yield from ShardFunction.gather(thread, client, metadata)
             return metadata, restored
 
         metadata, restored = run_thread(net, main)
@@ -67,14 +67,14 @@ class TestShard:
         data = b"important bytes " * 1000
 
         def main(thread):
-            client, session = _session(
+            client, session = yield from _session(
                 thread, net, ShardFunction.SOURCE, ShardFunction.manifest())
-            metadata = ShardFunction.scatter(thread, session, data, n=4, k=2,
-                                             name="doc")
+            metadata = yield from ShardFunction.scatter(thread, session, data, n=4, k=2,
+                                                        name="doc")
             # Use only the LAST two shards (parity rows included).
             indices = [p["index"] for p in metadata["placements"]][-2:]
-            return ShardFunction.gather(thread, client, metadata,
-                                        use_indices=indices)
+            return (yield from ShardFunction.gather(thread, client, metadata,
+                                                    use_indices=indices))
 
         assert run_thread(net, main) == data
 
@@ -86,27 +86,27 @@ class TestLoadBalancer:
         shared = {}
 
         def operator(thread):
-            _client, session = _session(
+            _client, session = yield from _session(
                 thread, net, LoadBalancerFunction.SOURCE,
                 LoadBalancerFunction.manifest(image="python"),
             )
-            onion = LoadBalancerFunction.start(
+            onion = yield from LoadBalancerFunction.start(
                 thread, session, content, high_water=1, low_water=1,
                 max_replicas=2, duration_s=120.0, poll_interval=2.0,
                 replica_image="python")
             shared["onion"] = onion
             from repro.core import messages
 
-            return session._await(thread, messages.DONE, 400.0)["result"]
+            return (yield from session._await(thread, messages.DONE, 400.0))["result"]
 
         downloads = []
 
         def visitor(thread, index):
             while "onion" not in shared:
-                thread.sleep(1.0)
-            thread.sleep(index * 1.0)
+                yield Sleep(1.0)
+            yield Sleep(index * 1.0)
             client = net.create_client(f"lb-visitor{index}")
-            body, elapsed = LoadBalancerFunction.download(
+            body, elapsed = yield from LoadBalancerFunction.download(
                 thread, client, shared["onion"])
             downloads.append((index, elapsed))
             assert body == content
@@ -132,12 +132,12 @@ class TestMultipath:
         net.create_web_server("files.example", {"/big": body})
 
         def main(thread):
-            _client, session = _session(
+            _client, session = yield from _session(
                 thread, net, MultipathFunction.SOURCE,
                 MultipathFunction.manifest())
-            data, stats = MultipathFunction.download(
+            data, stats = yield from MultipathFunction.download(
                 thread, session, "https://files.example/big", n_paths=3)
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
             return data, stats
 
         data, stats = run_thread(net, main)
@@ -185,13 +185,13 @@ class TestAvoidance:
             s_per_unit=0.05, base_latency=0.005)
 
         def main(thread):
-            _client, session = _session(
+            _client, session = yield from _session(
                 thread, net, AvoidanceFunction.SOURCE,
                 AvoidanceFunction.manifest(image="python"), box=box)
-            proof = AvoidanceFunction.prove(
+            proof = yield from AvoidanceFunction.prove(
                 thread, session, (src_node.address, 7),
                 (dst_node.address, 7), detour_bound=bound)
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
             return proof
 
         proof = run_thread(net, main)
@@ -209,13 +209,13 @@ class TestAvoidance:
         box = net.authority.consensus().find(net.bento_boxes()[0].fingerprint)
 
         def main(thread):
-            _client, session = _session(
+            _client, session = yield from _session(
                 thread, net, AvoidanceFunction.SOURCE,
                 AvoidanceFunction.manifest(image="python"), box=box)
-            proof = AvoidanceFunction.prove(
+            proof = yield from AvoidanceFunction.prove(
                 thread, session, (src_node.address, 7),
                 (dst_node.address, 7), detour_bound=0.000001)
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
             return proof
 
         proof = run_thread(net, main)
@@ -238,45 +238,45 @@ class TestDdosDefense:
         shared = {}
 
         def operator(thread):
-            _client, session = _session(
+            _client, session = yield from _session(
                 thread, net, DdosDefenseFunction.SOURCE,
                 DdosDefenseFunction.manifest(image="python"))
-            info = DdosDefenseFunction.start(
+            info = yield from DdosDefenseFunction.start(
                 thread, session, content, difficulty_bits=6,
                 duration_s=90.0, poll_interval=2.0)
             shared.update(info)
             from repro.core import messages
 
-            return session._await(thread, messages.DONE, 300.0)["result"]
+            return (yield from session._await(thread, messages.DONE, 300.0))["result"]
 
         def honest_visitor(thread):
             while "onion" not in shared:
-                thread.sleep(1.0)
+                yield Sleep(1.0)
             client = net.create_client("honest")
-            circuit = client.connect_to_hidden_service(
+            circuit = yield from client.connect_to_hidden_service(
                 thread, shared["onion"],
                 intro_extra=lambda cookie: {
                     "pow_nonce": solve_pow(cookie, shared["difficulty"])})
-            stream = circuit.open_stream(thread, "", 80)
+            stream = yield from circuit.open_stream(thread, "", 80)
             stream.send(b"GET")
             buffer = b""
             while len(buffer) < 8:
-                buffer += stream.recv(thread, timeout=120.0)
+                buffer += yield from stream.recv(thread, timeout=120.0)
             total = int.from_bytes(buffer[:8], "big")
             body = buffer[8:]
             while len(body) < total:
-                body += stream.recv(thread, timeout=120.0)
+                body += yield from stream.recv(thread, timeout=120.0)
             circuit.close()
             return body
 
         def attacker(thread):
             while "onion" not in shared:
-                thread.sleep(1.0)
+                yield Sleep(1.0)
             client = net.create_client("attacker")
             import repro.util.errors as errors
 
             try:
-                circuit = client.connect_to_hidden_service(
+                circuit = yield from client.connect_to_hidden_service(
                     thread, shared["onion"], timeout=30.0,
                     intro_extra={})     # no PoW
                 circuit.close()

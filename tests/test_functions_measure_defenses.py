@@ -39,16 +39,16 @@ class TestMeasureFunction:
         dead = meas_net.create_node("dark-host")
 
         def main(thread):
-            session = client.connect(thread, client.pick_box())
-            session.request_image(thread, "python")
-            session.load_function(thread, MeasureFunction.SOURCE,
-                                  MeasureFunction.manifest())
-            report = MeasureFunction.run(
+            session = yield from client.connect(thread, client.pick_box())
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(thread, MeasureFunction.SOURCE,
+                                             MeasureFunction.manifest())
+            report = yield from MeasureFunction.run(
                 thread, session,
                 targets=[(target.node.address, target.or_port),
                          (dead.address, 12345)],
                 rtt_samples=3)
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
             return report
 
         report = run_thread(meas_net, main)
@@ -62,12 +62,12 @@ class TestMeasureFunction:
         client = BentoClient(meas_net.create_client(), ias=meas_net.ias)
 
         def main(thread):
-            session = client.connect(thread, client.pick_box())
-            session.request_image(thread, "python")
-            session.load_function(thread, MeasureFunction.SOURCE,
-                                  MeasureFunction.manifest())
-            return session.invoke(thread, [
-                [], 0, "https://probe.example/blob", 0])
+            session = yield from client.connect(thread, client.pick_box())
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(thread, MeasureFunction.SOURCE,
+                                             MeasureFunction.manifest())
+            return (yield from session.invoke(thread, [
+                [], 0, "https://probe.example/blob", 0]))
 
         report = run_thread(meas_net, main)
         assert report["bandwidth_bytes_per_s"] > 50_000
@@ -87,12 +87,12 @@ class TestPaddedVisit:
 
             def main(thread):
                 if padded:
-                    padded_tor_visit(thread, client, "padsite.example",
-                                     pad_rate_cells_per_s=80.0)
+                    yield from padded_tor_visit(thread, client, "padsite.example",
+                                                pad_rate_cells_per_s=80.0)
                 else:
                     from repro.fingerprint.lab import standard_tor_visit
 
-                    standard_tor_visit(thread, client, "padsite.example")
+                    yield from standard_tor_visit(thread, client, "padsite.example")
 
             run_thread(net, main)
             return recorder.cut()

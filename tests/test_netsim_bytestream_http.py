@@ -108,7 +108,7 @@ class TestHttp:
         HttpServer(server, {"/": b"index!"})
 
         def main(thread):
-            return http_get(thread, net, client, "https://example.com/")
+            return (yield from http_get(thread, net, client, "https://example.com/"))
 
         response = sim.run_until_done(sim.spawn(main))
         assert response.ok and response.body == b"index!"
@@ -118,7 +118,8 @@ class TestHttp:
         HttpServer(server, {"/echo": lambda path: path.encode()})
 
         def main(thread):
-            return http_get(thread, net, client, "https://example.com/echo")
+            return (yield from http_get(thread, net, client,
+                                        "https://example.com/echo"))
 
         assert sim.run_until_done(sim.spawn(main)).body == b"/echo"
 
@@ -127,7 +128,8 @@ class TestHttp:
         HttpServer(server, {})
 
         def main(thread):
-            return http_get(thread, net, client, "https://example.com/nope")
+            return (yield from http_get(thread, net, client,
+                                        "https://example.com/nope"))
 
         response = sim.run_until_done(sim.spawn(main))
         assert response.status == 404 and not response.ok
@@ -138,7 +140,7 @@ class TestHttp:
         HttpServer(server, {"/big": body})
 
         def main(thread):
-            return http_get(thread, net, client, "https://example.com/big")
+            return (yield from http_get(thread, net, client, "https://example.com/big"))
 
         assert sim.run_until_done(sim.spawn(main)).body == body
 
@@ -151,10 +153,11 @@ class TestHttp:
             from repro.netsim.bytestream import FramedStream
             from repro.netsim.http import fetch
 
-            conn = net.connect_blocking(thread, client, net.resolve("example.com"),
-                                        443, handshake_rtts=2.0)
+            conn = yield from net.connect_blocking(thread, client,
+                                                   net.resolve("example.com"),
+                                                   443, handshake_rtts=2.0)
             framed = FramedStream(DirectByteStream(conn, client))
-            response = fetch(thread, framed, "/r", offset=10, length=20)
+            response = yield from fetch(thread, framed, "/r", offset=10, length=20)
             framed.close()
             return response
 
@@ -172,7 +175,8 @@ class TestHttp:
             HttpServer(server, {"/s": b"x" * 2000})
 
             def main(thread):
-                return http_get(thread, net, client, "https://example.com/s")
+                return (yield from http_get(thread, net, client,
+                                            "https://example.com/s"))
 
             return sim.run_until_done(sim.spawn(main)).elapsed
 
@@ -187,7 +191,8 @@ class TestHttp:
             HttpServer(server, {"/big": b"x" * 5_000_000})
 
             def main(thread):
-                return http_get(thread, net, client, "https://example.com/big")
+                return (yield from http_get(thread, net, client,
+                                            "https://example.com/big"))
 
             return sim.run_until_done(sim.spawn(main)).elapsed
 
@@ -201,12 +206,12 @@ class TestHttp:
         def main(thread):
             from repro.netsim.http import fetch
 
-            conn = net.connect_blocking(thread, client,
-                                        net.resolve("example.com"), 443,
-                                        handshake_rtts=2.0)
+            conn = yield from net.connect_blocking(thread, client,
+                                                   net.resolve("example.com"), 443,
+                                                   handshake_rtts=2.0)
             framed = FramedStream(DirectByteStream(conn, client))
-            first = fetch(thread, framed, "/a")
-            second = fetch(thread, framed, "/b")
+            first = yield from fetch(thread, framed, "/a")
+            second = yield from fetch(thread, framed, "/b")
             framed.close()
             return first.body + second.body
 

@@ -57,7 +57,7 @@ class TestNodeCrash:
 
         def receiver(thread):
             try:
-                conn.receive(net.node("a"), thread)
+                yield from conn.receive(net.node("a"), thread)
             except ConnectionClosed:
                 outcome["raised"] = True
 
@@ -178,7 +178,7 @@ class TestSpikeEdgeCases:
         got = []
 
         def receiver(thread):
-            got.append(conn.receive(net.node("b"), thread))
+            got.append((yield from conn.receive(net.node("b"), thread)))
 
         sim.run_until_done(sim.spawn(receiver))
         assert got == [payload]
@@ -324,10 +324,10 @@ class TestCloseSemantics:
         got = []
 
         def receiver(thread):
-            got.append(conn.receive(net.node("a"), thread))
-            got.append(conn.receive(net.node("a"), thread))
+            got.append((yield from conn.receive(net.node("a"), thread)))
+            got.append((yield from conn.receive(net.node("a"), thread)))
             with pytest.raises(ConnectionClosed):
-                conn.receive(net.node("a"), thread)
+                yield from conn.receive(net.node("a"), thread)
 
         sim.run_until_done(sim.spawn(receiver))
         assert got == [b"first", b"second"]
@@ -341,7 +341,7 @@ class TestCloseSemantics:
 
         def receiver(thread):
             with pytest.raises(ConnectionClosed):
-                conn.receive(net.node("a"), thread)
+                yield from conn.receive(net.node("a"), thread)
 
         sim.run_until_done(sim.spawn(receiver))
 

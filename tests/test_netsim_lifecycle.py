@@ -17,10 +17,10 @@ class TestListenerLifecycle:
         http = HttpServer(server, {"/": b"up"})
 
         def main(thread):
-            first = http_get(thread, net, client, "https://x.example/")
+            first = yield from http_get(thread, net, client, "https://x.example/")
             http.close()
             with pytest.raises(NetworkError):
-                http_get(thread, net, client, "https://x.example/")
+                yield from http_get(thread, net, client, "https://x.example/")
             return first
 
         response = sim.run_until_done(sim.spawn(main))
@@ -45,9 +45,9 @@ class TestListenerLifecycle:
         http = HttpServer(server, {})
 
         def main(thread):
-            missing = http_get(thread, net, client, "https://y.example/new")
+            missing = yield from http_get(thread, net, client, "https://y.example/new")
             http.add_resource("/new", b"now present")
-            found = http_get(thread, net, client, "https://y.example/new")
+            found = yield from http_get(thread, net, client, "https://y.example/new")
             return missing.status, found.body
 
         status, body = sim.run_until_done(sim.spawn(main))

@@ -8,7 +8,7 @@ from repro.netsim.connection import (
     LoopbackConnection,
 )
 from repro.netsim.network import Network, NetworkError
-from repro.netsim.simulator import Simulator
+from repro.netsim.simulator import Simulator, Sleep
 
 
 @pytest.fixture()
@@ -115,9 +115,9 @@ class TestDialing:
         b.listen(5000, accept)
 
         def client(thread):
-            conn = net.connect_blocking(thread, a, b.address, 5000)
+            conn = yield from net.connect_blocking(thread, a, b.address, 5000)
             conn.send(a, b"hello")
-            thread.sleep(1.0)
+            yield Sleep(1.0)
             return conn
 
         thread = sim.spawn(client)
@@ -129,7 +129,7 @@ class TestDialing:
         a, b = net.create_node("a"), net.create_node("b")
 
         def client(thread):
-            net.connect_blocking(thread, a, b.address, 1234)
+            yield from net.connect_blocking(thread, a, b.address, 1234)
 
         thread = sim.spawn(client)
         sim.run()
@@ -140,7 +140,7 @@ class TestDialing:
         a = net.create_node("a")
 
         def client(thread):
-            net.connect_blocking(thread, a, "1.2.3.4", 80)
+            yield from net.connect_blocking(thread, a, "1.2.3.4", 80)
 
         thread = sim.spawn(client)
         sim.run()
@@ -153,7 +153,8 @@ class TestDialing:
         b.listen(80, lambda conn: None)
 
         def client(thread):
-            net.connect_blocking(thread, a, b.address, 80, handshake_rtts=2.0)
+            yield from net.connect_blocking(thread, a, b.address, 80,
+                                            handshake_rtts=2.0)
             return sim.now
 
         thread = sim.spawn(client)
@@ -173,7 +174,7 @@ class TestDialing:
         b.listen(80, accept)
 
         def client(thread):
-            conn = net.connect_blocking(thread, a, b.address, 80)
+            conn = yield from net.connect_blocking(thread, a, b.address, 80)
             conn.send(a, b"x" * 10_000)
 
         sim.spawn(client)
@@ -195,7 +196,7 @@ class TestDialing:
         b.listen(80, accept)
 
         def client(thread):
-            conn = net.connect_blocking(thread, a, b.address, 80)
+            conn = yield from net.connect_blocking(thread, a, b.address, 80)
             conn.close()
             with pytest.raises(ConnectionClosed):
                 conn.send(a, b"late")

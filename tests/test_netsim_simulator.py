@@ -1,13 +1,8 @@
-"""The discrete-event core: ordering, futures, sim-threads."""
+"""The discrete-event core: event ordering and futures."""
 
 import pytest
 
-from repro.netsim.simulator import (
-    Future,
-    SimTimeoutError,
-    Simulator,
-)
-from repro.netsim.simulator import SimulationError
+from repro.netsim.simulator import Future, SimulationError, Simulator
 
 
 class TestEventOrdering:
@@ -117,125 +112,3 @@ class TestFuture:
         sim.run()
         assert seen == [True]
 
-
-class TestSimThreads:
-    def test_sleep_advances_virtual_time(self):
-        sim = Simulator()
-
-        def actor(thread):
-            thread.sleep(2.5)
-            return sim.now
-
-        thread = sim.spawn(actor)
-        assert sim.run_until_done(thread) == 2.5
-
-    def test_threads_interleave_by_time(self):
-        sim = Simulator()
-        order = []
-
-        def actor(thread, name, delay):
-            thread.sleep(delay)
-            order.append(name)
-
-        sim.spawn(actor, "slow", 2.0)
-        sim.spawn(actor, "fast", 1.0)
-        sim.run()
-        assert order == ["fast", "slow"]
-
-    def test_wait_on_future(self):
-        sim = Simulator()
-        future = Future(sim)
-        sim.schedule(1.0, future.resolve, "ready")
-
-        def actor(thread):
-            return thread.wait(future)
-
-        thread = sim.spawn(actor)
-        assert sim.run_until_done(thread) == "ready"
-        assert sim.now == 1.0
-
-    def test_wait_timeout(self):
-        sim = Simulator()
-        future = Future(sim)
-
-        def actor(thread):
-            thread.wait(future, timeout=3.0)
-
-        thread = sim.spawn(actor)
-        sim.run()
-        assert isinstance(thread.exception, SimTimeoutError)
-
-    def test_wait_rejected_future_raises_in_thread(self):
-        sim = Simulator()
-        future = Future(sim)
-        sim.schedule(0.5, future.reject, RuntimeError("down"))
-
-        def actor(thread):
-            thread.wait(future)
-
-        thread = sim.spawn(actor)
-        sim.run()
-        assert isinstance(thread.exception, RuntimeError)
-
-    def test_join_returns_result(self):
-        sim = Simulator()
-
-        def worker(thread):
-            thread.sleep(1.0)
-            return "done"
-
-        def boss(thread):
-            return thread.join(worker_thread)
-
-        worker_thread = sim.spawn(worker)
-        boss_thread = sim.spawn(boss)
-        assert sim.run_until_done(boss_thread) == "done"
-
-    def test_spawn_delay(self):
-        sim = Simulator()
-        times = []
-
-        def actor(thread):
-            times.append(sim.now)
-
-        sim.spawn(actor, delay=4.0)
-        sim.run()
-        assert times == [4.0]
-
-    def test_exception_surfaces_via_run_until_done(self):
-        sim = Simulator()
-
-        def actor(thread):
-            raise KeyError("oops")
-
-        thread = sim.spawn(actor)
-        with pytest.raises(KeyError):
-            sim.run_until_done(thread)
-
-    def test_check_failures(self):
-        sim = Simulator()
-
-        def actor(thread):
-            raise ValueError("hidden")
-
-        sim.spawn(actor)
-        sim.run()
-        with pytest.raises(ValueError):
-            sim.check_failures()
-
-    def test_determinism_across_runs(self):
-        def build_and_run():
-            sim = Simulator(seed=99)
-            trace = []
-
-            def actor(thread, name):
-                for _ in range(3):
-                    thread.sleep(sim.rng.uniform(0.1, 1.0))
-                    trace.append((name, round(sim.now, 9)))
-
-            sim.spawn(actor, "a")
-            sim.spawn(actor, "b")
-            sim.run()
-            return trace
-
-        assert build_and_run() == build_and_run()

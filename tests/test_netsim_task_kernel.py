@@ -1,12 +1,14 @@
-"""The coroutine task kernel: suspension protocol, parity with threads.
+"""The actor kernel: suspension protocol, failures, replay parity.
 
-The contract under test is the one DESIGN.md §11 states: a generator
-actor spawned as a :class:`SimTask` behaves *observably identically* to
-the same program running on a legacy :class:`SimThread` — same simulated
-timestamps, same wake-up ordering, same timeout semantics — while never
-creating an OS thread.  The property test at the bottom drives randomized
-actor programs through both kernels and requires byte-identical traces.
+The contract under test is the one DESIGN.md §11 states: actors are
+:class:`SimTask` generators multiplexed onto the event loop, with fixed
+simulated timestamps, wake-up ordering and timeout semantics.  The
+corpus test at the bottom replays programs whose traces were recorded on
+the retired OS-thread kernel and requires identical results.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,6 @@ from repro.netsim.simulator import (
     Future,
     Join,
     SimTask,
-    SimThread,
     SimTimeoutError,
     SimulationError,
     Simulator,
@@ -34,18 +35,6 @@ class TestSimTaskKernel:
 
         handle = sim.spawn(actor, name="t")
         assert isinstance(handle, SimTask)
-        sim.run_until_done(handle)
-        assert handle.result == "done"
-
-    def test_plain_callable_still_spawns_thread(self):
-        sim = Simulator()
-
-        def actor(thread):
-            thread.sleep(1.0)
-            return "done"
-
-        handle = sim.spawn(actor, name="t")
-        assert isinstance(handle, SimThread)
         sim.run_until_done(handle)
         assert handle.result == "done"
 
@@ -174,15 +163,10 @@ class TestSimTaskKernel:
         def task_actor(task):
             yield Sleep(1.0)
 
-        def thread_actor(thread):
-            thread.sleep(1.0)
-
         sim.spawn(task_actor, name="a")
-        sim.spawn(thread_actor, name="b")
         sim.run()
         snap = counters.snapshot()
         assert snap["tasks_spawned"] == 1
-        assert snap["legacy_threads_spawned"] == 1
         assert snap["task_switches"] >= 2    # start + one wake
 
     def test_tasks_and_threads_interleave_by_time(self):
@@ -196,7 +180,7 @@ class TestSimTaskKernel:
 
         def thread_actor(thread):
             for _ in range(3):
-                thread.sleep(1.5)
+                yield Sleep(1.5)
                 order.append(("thread", sim.now))
 
         sim.spawn(task_actor, name="a")
@@ -204,6 +188,58 @@ class TestSimTaskKernel:
         sim.run()
         assert order == [("thread", 1.5), ("task", 2.0), ("thread", 3.0),
                          ("task", 4.0), ("thread", 4.5), ("task", 6.0)]
+
+    def test_spawn_delay(self):
+        sim = Simulator()
+        times = []
+
+        def actor(task):
+            times.append(sim.now)
+            yield Sleep(0.0)
+
+        sim.spawn(actor, delay=4.0)
+        sim.run()
+        assert times == [4.0]
+
+    def test_check_failures(self):
+        sim = Simulator()
+
+        def actor(task):
+            yield Sleep(0.0)
+            raise ValueError("hidden")
+
+        sim.spawn(actor)
+        sim.run()
+        with pytest.raises(ValueError):
+            sim.check_failures()
+
+    def test_determinism_across_runs(self):
+        def build_and_run():
+            sim = Simulator(seed=99)
+            trace = []
+
+            def actor(task, name):
+                for _ in range(3):
+                    yield Sleep(sim.rng.uniform(0.1, 1.0))
+                    trace.append((name, round(sim.now, 9)))
+
+            sim.spawn(actor, "a")
+            sim.spawn(actor, "b")
+            sim.run()
+            return trace
+
+        assert build_and_run() == build_and_run()
+
+    def test_callable_raising_before_first_yield_fails_the_actor(self):
+        sim = Simulator()
+        handle = sim.spawn(lambda t: 1 / 0, name="t")
+        sim.run()       # the failure stays on the actor
+        assert handle.finished
+        assert isinstance(handle.exception, ZeroDivisionError)
+        with pytest.raises(ZeroDivisionError):
+            sim.run_until_done(handle)
+        with pytest.raises(ZeroDivisionError):
+            sim.check_failures()
 
 
 class TestStaleWakeRegression:
@@ -234,24 +270,6 @@ class TestStaleWakeRegression:
         sim.run_until_done(sim.spawn(actor, name="t"))
         # The stale t=2.0 callback fired mid-second-wait; a leak would
         # resume the actor then (with first's value, or crash).
-        assert out == {"timed_out_at": 1.0, "value": "on-time",
-                       "resumed_at": 4.0}
-
-    def test_thread_ignores_stale_wake(self):
-        sim = Simulator()
-        first, second = Future(sim), Future(sim)
-        self._program_events(sim, first, second)
-        out = {}
-
-        def actor(thread):
-            try:
-                thread.wait(first, timeout=1.0)
-            except SimTimeoutError:
-                out["timed_out_at"] = sim.now
-            out["value"] = thread.wait(second, timeout=10.0)
-            out["resumed_at"] = sim.now
-
-        sim.run_until_done(sim.spawn(actor, name="t"))
         assert out == {"timed_out_at": 1.0, "value": "on-time",
                        "resumed_at": 4.0}
 
@@ -293,27 +311,10 @@ class TestMaxEventsExactBound:
         assert ran == [0, 1, 2, 3]
 
 
-# -- cross-kernel trace parity (satellite: property test) --------------------
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+# -- replay parity with the retired thread kernel ----------------------------
 
 N_FUTURES = 4
-
-_sleep_op = st.tuples(st.just("sleep"),
-                      st.floats(min_value=0.0, max_value=4.0,
-                                allow_nan=False, allow_infinity=False))
-_log_op = st.tuples(st.just("log"), st.integers(0, 9))
-_resolve_op = st.tuples(st.just("resolve"),
-                        st.integers(0, N_FUTURES - 1), st.integers(0, 99))
-# Every wait carries a timeout so randomized programs always terminate.
-_wait_op = st.tuples(st.just("wait"), st.integers(0, N_FUTURES - 1),
-                     st.floats(min_value=0.1, max_value=3.0,
-                               allow_nan=False, allow_infinity=False))
-_leaf_op = st.one_of(_sleep_op, _log_op, _resolve_op, _wait_op)
-_spawn_op = st.tuples(st.just("spawn"), st.lists(_leaf_op, max_size=4))
-_program = st.lists(st.one_of(_leaf_op, _spawn_op), max_size=6)
-_programs = st.lists(_program, min_size=1, max_size=3)
+CORPUS = Path(__file__).parent / "data" / "kernel_parity_corpus.json"
 
 
 class _Ctx:
@@ -323,46 +324,8 @@ class _Ctx:
         self.futures = [Future(sim) for _ in range(N_FUTURES)]
 
 
-def _interp_step(ctx, name, index, op):
-    """Shared non-blocking part of one op; returns None or a wait plan."""
-    kind = op[0]
-    if kind == "log":
-        ctx.trace.append((ctx.sim.now, name, index, "log", op[1]))
-    elif kind == "resolve":
-        future = ctx.futures[op[1]]
-        if not future.done:
-            future.resolve(op[2])
-        ctx.trace.append((ctx.sim.now, name, index, "resolve", op[1]))
-    return None
-
-
-def _record_wait(ctx, name, index, outcome):
-    ctx.trace.append((ctx.sim.now, name, index, "wait", outcome))
-
-
-def _make_thread_fn(ctx, program, name):
-    def fn(thread):
-        for index, op in enumerate(program):
-            kind = op[0]
-            if kind == "sleep":
-                thread.sleep(op[1])
-                ctx.trace.append((ctx.sim.now, name, index, "slept"))
-            elif kind == "wait":
-                try:
-                    value = thread.wait(ctx.futures[op[1]], timeout=op[2])
-                    _record_wait(ctx, name, index, ("ok", value))
-                except SimTimeoutError:
-                    _record_wait(ctx, name, index, ("timeout",))
-            elif kind == "spawn":
-                child = f"{name}.{index}"
-                ctx.sim.spawn(_make_thread_fn(ctx, op[1], child), name=child)
-                ctx.trace.append((ctx.sim.now, name, index, "spawned"))
-            else:
-                _interp_step(ctx, name, index, op)
-    return fn
-
-
 def _make_task_fn(ctx, program, name):
+    """An actor interpreting ``program``: a list of ``[kind, ...]`` ops."""
     def fn(task):
         for index, op in enumerate(program):
             kind = op[0]
@@ -372,38 +335,52 @@ def _make_task_fn(ctx, program, name):
             elif kind == "wait":
                 try:
                     value = yield Wait(ctx.futures[op[1]], timeout=op[2])
-                    _record_wait(ctx, name, index, ("ok", value))
+                    outcome = ("ok", value)
                 except SimTimeoutError:
-                    _record_wait(ctx, name, index, ("timeout",))
+                    outcome = ("timeout",)
+                ctx.trace.append((ctx.sim.now, name, index, "wait", outcome))
             elif kind == "spawn":
                 child = f"{name}.{index}"
                 ctx.sim.spawn(_make_task_fn(ctx, op[1], child), name=child)
                 ctx.trace.append((ctx.sim.now, name, index, "spawned"))
-            else:
-                _interp_step(ctx, name, index, op)
+            elif kind == "log":
+                ctx.trace.append((ctx.sim.now, name, index, "log", op[1]))
+            elif kind == "resolve":
+                future = ctx.futures[op[1]]
+                if not future.done:
+                    future.resolve(op[2])
+                ctx.trace.append((ctx.sim.now, name, index, "resolve", op[1]))
     return fn
 
 
-def _run_kernel(programs, make_fn):
+def _run_programs(programs):
     sim = Simulator()
     ctx = _Ctx(sim)
     counters.reset()
     for root, program in enumerate(programs):
         name = f"actor{root}"
-        sim.spawn(make_fn(ctx, program, name), name=name)
+        sim.spawn(_make_task_fn(ctx, program, name), name=name)
     sim.run()
     sim.check_failures()
     return ctx.trace, sim.now, counters.snapshot()["events_processed"]
 
 
-class TestKernelParityProperty:
-    @settings(max_examples=30, deadline=None)
-    @given(programs=_programs)
-    def test_random_programs_trace_identically(self, programs):
-        thread_trace, thread_now, thread_events = _run_kernel(
-            programs, _make_thread_fn)
-        task_trace, task_now, task_events = _run_kernel(
-            programs, _make_task_fn)
-        assert task_trace == thread_trace
-        assert task_now == thread_now
-        assert task_events == thread_events
+class TestKernelParityCorpus:
+    def test_corpus_replays_identically(self):
+        """Replay 200 recorded programs; each must match its recorded run.
+
+        The corpus holds 200 distinct programs drawn with hypothesis
+        (seed 2021) from a grammar of sleep/log/resolve/wait ops plus one
+        level of spawned children, over up to three root actors sharing
+        four futures; every wait carries a timeout.  Each entry's
+        ``trace``, ``now`` and ``events_processed`` were recorded by
+        running the program on the retired OS-thread actor kernel at
+        commit 9b115dff4dae, the last commit that had it.
+        """
+        corpus = json.loads(CORPUS.read_text())
+        assert len(corpus) == 200
+        for entry in corpus:
+            trace, now, events = _run_programs(entry["programs"])
+            assert json.loads(json.dumps(trace)) == entry["trace"], entry
+            assert now == entry["now"], entry
+            assert events == entry["events_processed"], entry

@@ -229,7 +229,7 @@ class TestConnectionQueues:
 
         def receiver(thread):
             for _ in range(3):
-                seen.append(conn.receive(b, thread))
+                seen.append((yield from conn.receive(b, thread)))
 
         sim.spawn(receiver)
         for i in range(3):

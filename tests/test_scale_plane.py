@@ -12,11 +12,7 @@ from repro.enclave.attestation import (
     Quote,
 )
 from repro.netsim.bytestream import _RecvQueue
-from repro.netsim.simulator import (
-    Future,
-    Simulator,
-    SimTimeoutError,
-)
+from repro.netsim.simulator import Future, SimTimeoutError, Simulator, Wait
 from repro.obs.metrics import REGISTRY
 from repro.perf.counters import counters
 from repro.tor import TorTestNetwork
@@ -33,7 +29,7 @@ def cache_metric(kind: str, layer: str) -> float:
 
 
 class TestTimerSlots:
-    """`SimThread.wait` timeouts reuse one heap slot per thread."""
+    """Wait timeouts reuse one heap slot per actor."""
 
     def test_heap_does_not_accumulate_timeout_tombstones(self):
         # Regression: each resolved wait used to leave its cancelled
@@ -46,7 +42,7 @@ class TestTimerSlots:
             for _ in range(300):
                 fut = Future(sim)
                 sim.schedule(0.001, fut.resolve, None)
-                thread.wait(fut, timeout=30.0)
+                yield Wait(fut, timeout=30.0)
                 peak[0] = max(peak[0], len(sim._heap))
 
         sim.spawn(worker)
@@ -62,7 +58,7 @@ class TestTimerSlots:
 
         def worker(thread):
             with pytest.raises(SimTimeoutError):
-                thread.wait(Future(sim), timeout=5.0)
+                yield Wait(Future(sim), timeout=5.0)
             fired.append(sim.now)
 
         sim.spawn(worker)
@@ -78,10 +74,10 @@ class TestTimerSlots:
         def worker(thread):
             fut = Future(sim)
             sim.schedule(0.5, fut.resolve, None)
-            thread.wait(fut, timeout=1.0)     # tombstone parked at t=1.0
+            yield Wait(fut, timeout=1.0)     # tombstone parked at t=1.0
             t0 = sim.now
             with pytest.raises(SimTimeoutError):
-                thread.wait(Future(sim), timeout=30.0)
+                yield Wait(Future(sim), timeout=30.0)
             waited.append(sim.now - t0)
 
         sim.spawn(worker)
@@ -96,7 +92,7 @@ class TestTimerSlots:
             for _ in range(100):
                 fut = Future(sim)
                 sim.schedule(0.003, fut.resolve, None)
-                thread.wait(fut, timeout=60.0)
+                yield Wait(fut, timeout=60.0)
                 peak[0] = max(peak[0], len(sim._heap))
 
         for _ in range(4):
@@ -116,8 +112,8 @@ class TestRecvQueuePartialBuffer:
         out = []
 
         def reader(thread):
-            out.append(bytes(queue.pop(thread, None, min_bytes=10)))
-            out.append(bytes(queue.pop(thread, None, min_bytes=10)))
+            out.append(bytes((yield from queue.pop(thread, None, min_bytes=10))))
+            out.append(bytes((yield from queue.pop(thread, None, min_bytes=10))))
 
         sim.spawn(reader)
         sim.schedule(1.0, queue.push, b"abc")
@@ -135,8 +131,8 @@ class TestRecvQueuePartialBuffer:
 
         def reader(thread):
             with pytest.raises(SimTimeoutError):
-                queue.pop(thread, 1.0, min_bytes=10)
-            out.append(bytes(queue.pop(thread, None, min_bytes=10)))
+                yield from queue.pop(thread, 1.0, min_bytes=10)
+            out.append(bytes((yield from queue.pop(thread, None, min_bytes=10))))
 
         sim.spawn(reader)
         sim.schedule(0.5, queue.push, b"abc")
@@ -151,7 +147,7 @@ class TestRecvQueuePartialBuffer:
         out = []
 
         def reader(thread):
-            out.append(queue.pop(thread, None, min_bytes=16))
+            out.append((yield from queue.pop(thread, None, min_bytes=16)))
 
         queue.push(blob)
         sim.spawn(reader)
@@ -165,8 +161,8 @@ class TestRecvQueuePartialBuffer:
         out = []
 
         def reader(thread):
-            out.append(queue.pop(thread, None))
-            out.append(queue.pop(thread, None))
+            out.append((yield from queue.pop(thread, None)))
+            out.append((yield from queue.pop(thread, None)))
 
         queue.push(b"first")
         queue.push(b"second")

@@ -25,7 +25,7 @@ class TestController:
         controller = ctl_net.controller
 
         def main(thread):
-            circuit_id = controller.new_circuit(thread)
+            circuit_id = yield from controller.new_circuit(thread)
             assert circuit_id in controller.list_circuits()
             controller.close_circuit(circuit_id)
             assert circuit_id not in controller.list_circuits()
@@ -38,12 +38,12 @@ class TestController:
         controller = ctl_net.controller
 
         def main(thread):
-            circuit_id = controller.new_circuit(
+            circuit_id = yield from controller.new_circuit(
                 thread, exit_to=("web.example", 443))
-            stream = controller.attach_stream(thread, circuit_id,
-                                              "web.example", 443)
+            stream = yield from controller.attach_stream(thread, circuit_id,
+                                                         "web.example", 443)
             framed = FramedStream(stream)
-            body = fetch(thread, framed, "/").body
+            body = (yield from fetch(thread, framed, "/")).body
             controller.close_circuit(circuit_id)
             return body
 
@@ -53,10 +53,10 @@ class TestController:
         controller = ctl_net.controller
 
         def main(thread):
-            circuit_id = controller.new_circuit(
+            circuit_id = yield from controller.new_circuit(
                 thread, exit_to=("web.example", 443))
-            result = controller.fetch(thread, circuit_id,
-                                      "https://web.example/")
+            result = yield from controller.fetch(thread, circuit_id,
+                                                 "https://web.example/")
             controller.close_circuit(circuit_id)
             return result
 
@@ -93,7 +93,7 @@ class TestFirewall:
                            frozenset({"close_circuit", "send_padding"}))
 
         def main(thread):
-            circuit_id = fw1.new_circuit(thread)
+            circuit_id = yield from fw1.new_circuit(thread)
             # Another function cannot touch fn-1's circuit.
             with pytest.raises(StemPolicyViolation):
                 fw2.close_circuit(circuit_id)
@@ -115,7 +115,7 @@ class TestFirewall:
         firewall = self._firewall(ctl_net, {"new_circuit"})
 
         def main(thread):
-            circuit_id = firewall.new_circuit(thread)
+            circuit_id = yield from firewall.new_circuit(thread)
             firewall.release_all()
             assert circuit_id not in ctl_net.controller.list_circuits()
 
@@ -125,7 +125,7 @@ class TestFirewall:
         firewall = self._firewall(ctl_net, {"new_circuit", "send_padding"})
 
         def main(thread):
-            circuit_id = firewall.new_circuit(thread)
+            circuit_id = yield from firewall.new_circuit(thread)
             firewall.send_padding(circuit_id, hop_index=1)  # allowed
             with pytest.raises(StemPolicyViolation):
                 firewall.send_padding("999")                # not owned

@@ -4,6 +4,7 @@ import pytest
 
 from repro.netsim.bytestream import FramedStream
 from repro.netsim.http import HttpServer, fetch
+from repro.netsim.simulator import Sleep
 from repro.netsim.trace import TraceRecorder
 from repro.tor.cell import CELL_SIZE, RelayCommand
 from repro.tor.exitpolicy import ExitPolicy
@@ -26,7 +27,7 @@ class TestCircuitConstruction:
         client = web_net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(thread)
+            circuit = yield from client.build_circuit(thread)
             assert len(circuit.hops) == 3
             assert len(circuit.path) == 3
             circuit.close()
@@ -41,7 +42,7 @@ class TestCircuitConstruction:
                 consensus.routers[8]]
 
         def main(thread):
-            circuit = client.build_circuit(thread, path=path)
+            circuit = yield from client.build_circuit(thread, path=path)
             assert [r.nickname for r in circuit.path] == \
                 [r.nickname for r in path]
             circuit.close()
@@ -53,7 +54,7 @@ class TestCircuitConstruction:
         exit_relay = web_net.exit_relays()[0]
 
         def main(thread):
-            circuit = client.build_circuit(
+            circuit = yield from client.build_circuit(
                 thread, path=[exit_relay.descriptor()])
             assert len(circuit.hops) == 1
             circuit.close()
@@ -64,7 +65,7 @@ class TestCircuitConstruction:
         client = web_net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(thread)
+            circuit = yield from client.build_circuit(thread)
             guard_name = circuit.path[0].nickname
             guard = next(r for r in web_net.relays
                          if r.nickname == guard_name)
@@ -79,11 +80,11 @@ class TestStreams:
         client = web_net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(
+            circuit = yield from client.build_circuit(
                 thread, exit_to=("origin.example", 443))
-            stream = circuit.open_stream(thread, "origin.example", 443)
+            stream = yield from circuit.open_stream(thread, "origin.example", 443)
             framed = FramedStream(stream)
-            response = fetch(thread, framed, "/")
+            response = yield from fetch(thread, framed, "/")
             framed.close()
             circuit.close()
             return response
@@ -95,11 +96,11 @@ class TestStreams:
         client = web_net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(
+            circuit = yield from client.build_circuit(
                 thread, exit_to=("origin.example", 443))
-            stream = circuit.open_stream(thread, "origin.example", 443)
+            stream = yield from circuit.open_stream(thread, "origin.example", 443)
             framed = FramedStream(stream)
-            response = fetch(thread, framed, "/big")
+            response = yield from fetch(thread, framed, "/big")
             framed.close()
             circuit.close()
             return response
@@ -113,15 +114,17 @@ class TestStreams:
         client = web_net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(
+            circuit = yield from client.build_circuit(
                 thread, exit_to=("origin.example", 443))
-            streams = [circuit.open_stream(thread, "origin.example", 443)
-                       for _ in range(3)]
+            streams = []
+            for _ in range(3):
+                streams.append((yield from circuit.open_stream(
+                    thread, "origin.example", 443)))
             assert len({s.stream_id for s in streams}) == 3
             bodies = []
             for stream in streams:
                 framed = FramedStream(stream)
-                bodies.append(fetch(thread, framed, "/").body)
+                bodies.append((yield from fetch(thread, framed, "/")).body)
             circuit.close()
             return bodies
 
@@ -138,9 +141,9 @@ class TestStreams:
         client = net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(thread, length=3)
+            circuit = yield from client.build_circuit(thread, length=3)
             with pytest.raises(ProtocolError):
-                circuit.open_stream(thread, "site.example", 443)
+                yield from circuit.open_stream(thread, "site.example", 443)
             circuit.close()
 
         run_thread(net, main)
@@ -149,9 +152,9 @@ class TestStreams:
         client = web_net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(thread, length=3)
+            circuit = yield from client.build_circuit(thread, length=3)
             with pytest.raises(ProtocolError):
-                circuit.open_stream(thread, "10.99.99.99", 80)
+                yield from circuit.open_stream(thread, "10.99.99.99", 80)
             circuit.close()
 
         run_thread(web_net, main)
@@ -162,10 +165,10 @@ class TestTeardown:
         client = web_net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(thread)
+            circuit = yield from client.build_circuit(thread)
             names = [r.nickname for r in circuit.path]
             circuit.close()
-            thread.sleep(2.0)   # let DESTROYs travel
+            yield Sleep(2.0)   # let DESTROYs travel
             return names
 
         names = run_thread(web_net, main)
@@ -177,7 +180,7 @@ class TestTeardown:
         client = web_net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(thread)
+            circuit = yield from client.build_circuit(thread)
             circuit.close()
             from repro.tor.circuit import CircuitDestroyed
 
@@ -194,7 +197,7 @@ class TestCoverTrafficCells:
         client = web_net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(thread)
+            circuit = yield from client.build_circuit(thread)
             middle_name = circuit.path[1].nickname
             exit_name = circuit.path[2].nickname
             middle = next(r for r in web_net.relays
@@ -205,7 +208,7 @@ class TestCoverTrafficCells:
             middle_before = middle.node.downlink.bytes_total
             for _ in range(10):
                 client.send_drop(circuit, hop_index=1)
-            thread.sleep(3.0)
+            yield Sleep(3.0)
             middle_delta = middle.node.downlink.bytes_total - middle_before
             circuit.close()
             return middle_delta, exit_tap.total_bytes()
@@ -218,10 +221,10 @@ class TestCoverTrafficCells:
         client = web_net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(thread)
+            circuit = yield from client.build_circuit(thread)
             for _ in range(5):
                 client.send_drop(circuit)    # default: last hop
-            thread.sleep(2.0)
+            yield Sleep(2.0)
             assert not circuit.destroyed     # exit absorbed them quietly
             circuit.close()
 

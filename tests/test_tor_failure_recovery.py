@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.netsim.faults import FaultPlane
+from repro.netsim.simulator import Sleep
 from repro.perf.counters import counters as _perf
 from repro.tor.cell import RelayCommand
 from repro.tor.circuit import CircuitDestroyed
@@ -30,13 +31,13 @@ class TestGuardConnectionClosed:
         """A circuit whose close-notification is unhooked, so a send can
         race the connection's death (the _send_cell handler's case)."""
         client = net.create_client()
-        circuit = client.build_circuit(thread)
+        circuit = yield from client.build_circuit(thread)
         circuit.conn.endpoint_of(client.node).on_close = None
         return circuit
 
     def test_send_on_dead_connection_destroys_circuit(self, faulty_net):
         def main(thread):
-            circuit = self.detached_circuit(faulty_net, thread)
+            circuit = yield from self.detached_circuit(faulty_net, thread)
             stream = circuit._stream_cls(circuit, 99)
             circuit.streams[99] = stream
             circuit.conn.close()
@@ -51,7 +52,7 @@ class TestGuardConnectionClosed:
 
     def test_close_swallows_dead_connection(self, faulty_net):
         def main(thread):
-            circuit = self.detached_circuit(faulty_net, thread)
+            circuit = yield from self.detached_circuit(faulty_net, thread)
             circuit.conn.close()
             circuit.close()  # DESTROY cannot be sent; must not raise
             assert circuit.destroyed
@@ -61,7 +62,7 @@ class TestGuardConnectionClosed:
     def test_close_notification_tears_down(self, faulty_net):
         def main(thread):
             client = faulty_net.create_client()
-            circuit = client.build_circuit(thread)
+            circuit = yield from client.build_circuit(thread)
             circuit.conn.close()  # on_close wired: teardown is immediate
             assert circuit.destroyed
             assert circuit not in client.circuits
@@ -73,7 +74,7 @@ class TestRelayCrash:
     def test_crashed_relay_destroys_circuits_through_it(self, faulty_net):
         def main(thread):
             client = faulty_net.create_client()
-            circuit = client.build_circuit(thread)
+            circuit = yield from client.build_circuit(thread)
             middle = circuit.path[1]
             faulty_net.plane.crash_node(
                 faulty_net.network.node_at(middle.address).name)
@@ -81,7 +82,7 @@ class TestRelayCrash:
             # (or the dead guard link itself) must reach the client.
             deadline = faulty_net.sim.now + 5.0
             while not circuit.destroyed and faulty_net.sim.now < deadline:
-                thread.sleep(0.1)
+                yield Sleep(0.1)
             assert circuit.destroyed
 
         run_thread(faulty_net, main)
@@ -95,7 +96,7 @@ class TestAvoidList:
 
         def main(thread):
             for _ in range(4):
-                circuit = client.build_circuit(thread)
+                circuit = yield from client.build_circuit(thread)
                 assert victim.identity_fp not in [
                     r.identity_fp for r in circuit.path]
                 circuit.close()
@@ -120,14 +121,14 @@ class TestBuildWithRetry:
             calls["n"] += 1
             if calls["n"] == 1:
                 raise TorError("transient: induced by test")
-            return real_build(thread, **kwargs)
+            return (yield from real_build(thread, **kwargs))
 
         client.build_circuit = flaky_build
 
         def main(thread):
             t0 = faulty_net.sim.now
-            circuit = client.build_circuit_with_retry(thread, attempts=3,
-                                                      backoff_s=0.5)
+            circuit = yield from client.build_circuit_with_retry(thread, attempts=3,
+                                                                 backoff_s=0.5)
             assert calls["n"] == 2
             assert faulty_net.sim.now > t0  # backoff slept
             assert _perf.circuits_rebuilt == 1
@@ -145,7 +146,7 @@ class TestBuildWithRetry:
 
         def main(thread):
             with pytest.raises(TorError, match="after 2 attempts"):
-                client.build_circuit_with_retry(thread, attempts=2,
-                                                backoff_s=0.1)
+                yield from client.build_circuit_with_retry(thread, attempts=2,
+                                                           backoff_s=0.1)
 
         run_thread(faulty_net, main)

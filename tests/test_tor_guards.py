@@ -18,7 +18,7 @@ class TestEntryGuards:
         def main(thread):
             guards = []
             for _ in range(5):
-                circuit = client.build_circuit(thread)
+                circuit = yield from client.build_circuit(thread)
                 guards.append(circuit.path[0].identity_fp)
                 circuit.close()
             return guards
@@ -32,7 +32,7 @@ class TestEntryGuards:
                            net.authority, use_entry_guard=True)
 
         def main(thread):
-            circuit = client.build_circuit(thread)
+            circuit = yield from client.build_circuit(thread)
             fp = circuit.path[0].identity_fp
             circuit.close()
             return fp
@@ -48,7 +48,7 @@ class TestEntryGuards:
         def main(thread):
             guards = set()
             for _ in range(12):
-                circuit = client.build_circuit(thread)
+                circuit = yield from client.build_circuit(thread)
                 guards.add(circuit.path[0].identity_fp)
                 circuit.close()
             return guards
@@ -64,7 +64,7 @@ class TestEntryGuards:
 
         def main(thread):
             for _ in range(8):
-                circuit = client.build_circuit(thread)
+                circuit = yield from client.build_circuit(thread)
                 fps = [r.identity_fp for r in circuit.path]
                 assert len(set(fps)) == len(fps)
                 circuit.close()

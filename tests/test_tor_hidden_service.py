@@ -4,6 +4,7 @@ import pytest
 
 from repro.netsim.bytestream import FramedStream
 from repro.netsim.http import fetch, serve_body
+from repro.netsim.simulator import Sleep
 from repro.tor.hidden_service import HiddenService
 from repro.tor.testnet import TorTestNetwork
 from repro.util.errors import ReproError
@@ -17,9 +18,9 @@ def _http_handler(net, body=CONTENT):
     def handler(stream, _host, _port):
         def serve(thread):
             framed = FramedStream(stream)
-            frame = framed.recv_frame(thread, timeout=120.0)
+            frame = yield from framed.recv_frame(thread, timeout=120.0)
             if frame is not None:
-                serve_body(thread, framed, 200, body)
+                yield from serve_body(thread, framed, 200, body)
         net.sim.spawn(serve, name="hs-serve")
     return handler
 
@@ -32,7 +33,7 @@ def hs_net():
 
     def host_main(thread):
         service = HiddenService(host, _http_handler(net))
-        service.establish(thread, n_intro=3)
+        yield from service.establish(thread, n_intro=3)
         service_box["service"] = service
 
     run_thread(net, host_main, name="hs-host")
@@ -66,11 +67,11 @@ class TestRendezvous:
         visitor = hs_net.create_client("visitor")
 
         def main(thread):
-            circuit = visitor.connect_to_hidden_service(
+            circuit = yield from visitor.connect_to_hidden_service(
                 thread, str(hs_net.service.onion_address))
-            stream = circuit.open_stream(thread, "", 80)
+            stream = yield from circuit.open_stream(thread, "", 80)
             framed = FramedStream(stream)
-            response = fetch(thread, framed, "/")
+            response = yield from fetch(thread, framed, "/")
             framed.close()
             circuit.close()
             return response
@@ -83,11 +84,11 @@ class TestRendezvous:
 
         def visit(thread, name):
             visitor = hs_net.create_client(name)
-            circuit = visitor.connect_to_hidden_service(
+            circuit = yield from visitor.connect_to_hidden_service(
                 thread, str(hs_net.service.onion_address))
-            stream = circuit.open_stream(thread, "", 80)
+            stream = yield from circuit.open_stream(thread, "", 80)
             framed = FramedStream(stream)
-            bodies.append(fetch(thread, framed, "/").body)
+            bodies.append((yield from fetch(thread, framed, "/")).body)
             circuit.close()
 
         a = hs_net.sim.spawn(lambda t: visit(t, "va"), name="va")
@@ -102,8 +103,8 @@ class TestRendezvous:
 
         def main(thread):
             with pytest.raises(ReproError):
-                visitor.connect_to_hidden_service(thread,
-                                                  "feedfeedfeedfeed.onion")
+                yield from visitor.connect_to_hidden_service(
+                    thread, "feedfeedfeedfeed.onion")
 
         run_thread(hs_net, main)
 
@@ -114,11 +115,11 @@ class TestRendezvous:
         visitor = hs_net.create_client("anon-visitor")
 
         def main(thread):
-            circuit = visitor.connect_to_hidden_service(
+            circuit = yield from visitor.connect_to_hidden_service(
                 thread, str(hs_net.service.onion_address))
-            stream = circuit.open_stream(thread, "", 80)
+            stream = yield from circuit.open_stream(thread, "", 80)
             framed = FramedStream(stream)
-            fetch(thread, framed, "/")
+            yield from fetch(thread, framed, "/")
             circuit.close()
 
         run_thread(hs_net, main)
@@ -138,21 +139,21 @@ class TestManualIntroductions:
         def host_main(thread):
             service = HiddenService(host, _http_handler(net, b"manual!"))
             service.manual_introductions = True
-            service.establish(thread, n_intro=2)
+            yield from service.establish(thread, n_intro=2)
             result["service"] = service
-            request = service.wait_introduction(thread, timeout=300.0)
+            request = yield from service.wait_introduction(thread, timeout=300.0)
             assert "cookie" in request and "onionskin" in request
-            service.complete_rendezvous(thread, request)
+            yield from service.complete_rendezvous(thread, request)
             return True
 
         def visitor_main(thread):
-            thread.sleep(8.0)
+            yield Sleep(8.0)
             visitor = net.create_client("visitor")
-            circuit = visitor.connect_to_hidden_service(
+            circuit = yield from visitor.connect_to_hidden_service(
                 thread, str(result["service"].onion_address))
-            stream = circuit.open_stream(thread, "", 80)
+            stream = yield from circuit.open_stream(thread, "", 80)
             framed = FramedStream(stream)
-            body = fetch(thread, framed, "/").body
+            body = (yield from fetch(thread, framed, "/")).body
             circuit.close()
             return body
 
@@ -167,7 +168,7 @@ class TestManualIntroductions:
             from repro.tor.hidden_service import HiddenServiceError
 
             with pytest.raises(HiddenServiceError):
-                hs_net.service.wait_introduction(thread, timeout=0.1)
+                yield from hs_net.service.wait_introduction(thread, timeout=0.1)
 
         run_thread(hs_net, main)
 
@@ -184,29 +185,29 @@ class TestKeyCloning:
         def primary_main(thread):
             service = HiddenService(primary, lambda *a: None)
             service.manual_introductions = True
-            service.establish(thread, n_intro=2)
+            yield from service.establish(thread, n_intro=2)
             shared["service"] = service
-            request = service.wait_introduction(thread, timeout=300.0)
+            request = yield from service.wait_introduction(thread, timeout=300.0)
             shared["request"] = request
 
         def replica_main(thread):
             while "request" not in shared:
-                thread.sleep(1.0)
+                yield Sleep(1.0)
             clone = HiddenService(
                 replica_host, _http_handler(net, b"from-replica"),
                 keypair=__import__("repro.crypto.rsa", fromlist=["RsaKeyPair"])
                 .RsaKeyPair.from_parts(shared["service"].export_key_material()))
             assert clone.onion_address == shared["service"].onion_address
-            clone.complete_rendezvous(thread, shared["request"])
+            yield from clone.complete_rendezvous(thread, shared["request"])
 
         def visitor_main(thread):
-            thread.sleep(8.0)
+            yield Sleep(8.0)
             visitor = net.create_client("visitor")
-            circuit = visitor.connect_to_hidden_service(
+            circuit = yield from visitor.connect_to_hidden_service(
                 thread, str(shared["service"].onion_address))
-            stream = circuit.open_stream(thread, "", 80)
+            stream = yield from circuit.open_stream(thread, "", 80)
             framed = FramedStream(stream)
-            body = fetch(thread, framed, "/").body
+            body = (yield from fetch(thread, framed, "/")).body
             circuit.close()
             return body
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netsim.connection import Connection
+from repro.netsim.simulator import Sleep
 from repro.tor import ntor
 from repro.tor.cell import CELL_SIZE, Cell, CellCommand, RelayCellPayload, RelayCommand
 from repro.tor.layercrypto import BACKWARD, FORWARD, HopCrypto
@@ -22,7 +23,7 @@ def rig():
     state = {}
 
     def main(thread):
-        conn = net.network.connect_blocking(
+        conn = yield from net.network.connect_blocking(
             thread, probe, relay.node.address, relay.or_port)
         conn.endpoint_of(probe).on_message = (
             lambda _c, payload, _s: received.append(payload))
@@ -30,7 +31,7 @@ def rig():
             DeterministicRandom("probe"), relay.fingerprint)
         conn.send(probe, Cell(7, CellCommand.CREATE, client_state.onionskin),
                   size=CELL_SIZE)
-        thread.sleep(2.0)
+        yield Sleep(2.0)
         created = received.pop(0)
         assert created.command == CellCommand.CREATED
         keys = client_state.finish(created.payload[:ntor.REPLY_LEN])
@@ -54,7 +55,7 @@ def _send_relay(net, command, stream_id, data, circ_id=7):
     def main(thread):
         net.conn.send(net.probe, Cell(circ_id, CellCommand.RELAY, payload),
                       size=CELL_SIZE)
-        thread.sleep(3.0)
+        yield Sleep(3.0)
 
     net.sim.run_until_done(net.sim.spawn(main))
 
@@ -108,7 +109,7 @@ class TestRelayStateMachine:
         def main(thread):
             rig.conn.send(rig.probe, Cell(7, CellCommand.DESTROY, b""),
                           size=CELL_SIZE)
-            thread.sleep(2.0)
+            yield Sleep(2.0)
 
         rig.sim.run_until_done(rig.sim.spawn(main))
         assert rig.relay.active_circuit_count == 0
@@ -116,7 +117,7 @@ class TestRelayStateMachine:
     def test_conn_close_destroys_circuits(self, rig):
         def main(thread):
             rig.conn.close()
-            thread.sleep(2.0)
+            yield Sleep(2.0)
 
         rig.sim.run_until_done(rig.sim.spawn(main))
         assert rig.relay.active_circuit_count == 0

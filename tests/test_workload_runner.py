@@ -132,19 +132,17 @@ class TestCrossPlane:
         # 1. No plane-interaction deadlock: every actor reached its end.
         assert result["all_finished"], result["unfinished"]
         counters = result["counters"]
-        # 2. The coroutine kernel served everything.
-        assert counters["legacy_threads_spawned"] == 0
-        # 3. Migration accounting balances.
+        # 2. Migration accounting balances.
         assert counters["migrations_started"] == \
             counters["migrations_completed"] + counters["migrations_failed"]
         assert counters["migrations_completed"] >= 1
-        # 4. The drain beat the crash: state survived with no redeploys.
+        # 3. The drain beat the crash: state survived with no redeploys.
         assert result["probe"]["state_preserved"]
         assert result["probe"]["redeploys"] == 0
-        # 5. The chaos plane actually fired.
+        # 4. The chaos plane actually fired.
         assert counters["faults_injected"] >= 2
         assert counters["node_crashes"] >= 1
-        # 6. Admission accounting drained back to idle: every box's slot
+        # 5. Admission accounting drained back to idle: every box's slot
         #    gauge is back at capacity and no queue entry leaked.  A
         #    session that died mid-fault without releasing its slot (or a
         #    migration that double-released one) shows up here.  Scope to
